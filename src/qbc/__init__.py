@@ -4,7 +4,7 @@ Library layout:
   hilbert         kets, operators, partial traces, Jacobi eigensolver, entropy
   discrimination  minimum-error two-state measurements
   cloner          the symmetric cloning family, its objective, entanglement
-  optimizer       multi-start projected gradient re-derivation of the optimum
+  optimizer       multi-start ascent over SO(3) re-deriving the optimum
   infochannel     induced channels, degraded cascade, rate region
   cli / reports   the qbc executable and its JSON/CSV reports
   verify          invariant suites behind `qbc verify`

@@ -5,7 +5,7 @@ Hot kernels are compiled with ``numba.njit`` when numba is importable and the
 ``QBC_DISABLE_NUMBA=1`` selects the pure-numpy fallback: the identical source
 runs uncompiled, so both paths execute the same arithmetic in the same order.
 
-``benchmarks/bench_kernels.py`` compares the two paths.
+``qbcbench/run.py`` reports which path a benchmark run used.
 """
 
 import os

@@ -10,7 +10,9 @@ Conventions:
   * An optimizer point is a float64 vector u of length 6: u[0:3] and u[3:6]
     are the two rows of the cloning map in sphere coordinates
     (x_i, y_i, sqrt(2)*b_i). The isometry constraints become
-    |u0| = |u1| = 1 and dot(u0, u1) = cos(overlap angle).
+    |u0| = |u1| = 1 and dot(u0, u1) = cos(theta), theta the overlap angle.
+    That set is one SO(3) orbit, {R [e1, cos(theta) e1 + sin(theta) e2]},
+    so the ascent moves a 3x3 rotation R and never leaves the set.
 """
 
 import numpy as np
@@ -111,192 +113,131 @@ def jacobi_eigh(a):
 
 
 @njit(cache=True)
-def clone_lambda(u):
-    """Distinguishability objective in sphere coordinates.
+def clone_lambda(v, d):
+    """Distinguishability objective at the point u0 = v, u1 = v + d.
 
     Equals the squared smallest eigenvalue of the clone-marginal difference.
+    Both squared terms are written as products with d, never as differences
+    of nearly equal terms, so the value keeps its relative accuracy as the
+    overlap angle (and with it d) goes to 0.
     """
-    g1 = u[5] * u[3] - u[2] * u[0]
-    q = ((u[3] + u[4]) ** 2 - (u[0] + u[1]) ** 2) / 2.0 + (u[5] ** 2 - u[2] ** 2) / 2.0
-    return g1 * g1 + q * q
+    sd = d[0] + d[1]
+    g = v[2] * d[0] + d[2] * (v[0] + d[0])
+    q = sd * (v[0] + v[1] + 0.5 * sd) + d[2] * (v[2] + 0.5 * d[2])
+    return g * g + q * q
 
 
 @njit(cache=True)
-def clone_lambda_grad(u):
-    """Analytic gradient of clone_lambda."""
-    g1 = u[5] * u[3] - u[2] * u[0]
-    q = ((u[3] + u[4]) ** 2 - (u[0] + u[1]) ** 2) / 2.0 + (u[5] ** 2 - u[2] ** 2) / 2.0
-    grad = np.empty(6, dtype=np.float64)
-    s0 = u[0] + u[1]
-    s1 = u[3] + u[4]
-    grad[0] = 2.0 * g1 * (-u[2]) + 2.0 * q * (-s0)
-    grad[1] = 2.0 * q * (-s0)
-    grad[2] = 2.0 * g1 * (-u[0]) + 2.0 * q * (-u[2])
-    grad[3] = 2.0 * g1 * u[5] + 2.0 * q * s1
-    grad[4] = 2.0 * q * s1
-    grad[5] = 2.0 * g1 * u[3] + 2.0 * q * u[5]
-    return grad
+def rotation_grad(v, d):
+    """Riemannian gradient omega of clone_lambda over the rotation.
+
+    Rotating both v and d by exp([h w]x) changes clone_lambda at the rate
+    dot(omega, w). With Euclidean gradients g0, g1 in u0, u1,
+    omega = u0 x g0 + u1 x g1 = v x G_v + d x G_d, where G_v (d fixed) is
+    O(|d|^2) and G_d is O(|d|); both are formed without cancellation.
+    """
+    s0 = v[0] + v[1]
+    sd = d[0] + d[1]
+    s1 = s0 + sd
+    w0 = v[0] + d[0]
+    w2 = v[2] + d[2]
+    g = v[2] * d[0] + d[2] * w0
+    q = sd * (s0 + 0.5 * sd) + d[2] * (v[2] + 0.5 * d[2])
+    gv0 = 2.0 * (g * d[2] + q * sd)
+    gv1 = 2.0 * q * sd
+    gv2 = 2.0 * (g * d[0] + q * d[2])
+    gd0 = 2.0 * (g * w2 + q * s1)
+    gd1 = 2.0 * q * s1
+    gd2 = 2.0 * (g * w0 + q * w2)
+    omega = np.empty(3, dtype=np.float64)
+    omega[0] = v[1] * gv2 - v[2] * gv1 + d[1] * gd2 - d[2] * gd1
+    omega[1] = v[2] * gv0 - v[0] * gv2 + d[2] * gd0 - d[0] * gd2
+    omega[2] = v[0] * gv1 - v[1] * gv0 + d[0] * gd1 - d[1] * gd0
+    return omega
 
 
 @njit(cache=True)
-def project_pair(u, gamma, tol, max_iters):
-    """Project a 6-vector onto {|u0| = |u1| = 1, dot(u0, u1) = gamma}.
-
-    Alternates sphere rescaling with a symmetric mixing of the two halves
-    that restores the coupling; the mixing parameter solves a quadratic
-    whose small root is evaluated in cancellation-free form. Returns
-    (point, converged).
-
-    The coupling certificate degenerates quadratically at gamma = +-1, so
-    the fully (anti)parallel target is handled exactly: both halves are set
-    to the normalized (anti)symmetric average.
-    """
-    v = u.copy()
-    if abs(gamma) >= 1.0 - 1e-15:
-        sign = 1.0 if gamma > 0.0 else -1.0
-        m = np.empty(3, dtype=np.float64)
-        for i in range(3):
-            m[i] = v[i] + sign * v[3 + i]
-        nm = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
-        if nm == 0.0:
-            return v, False
-        for i in range(3):
-            v[i] = m[i] / nm
-            v[3 + i] = sign * v[i]
-        return v, True
-    for _ in range(max_iters):
-        n0 = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        n1 = np.sqrt(v[3] * v[3] + v[4] * v[4] + v[5] * v[5])
-        if n0 == 0.0 or n1 == 0.0:
-            return v, False
-        for i in range(3):
-            v[i] = v[i] / n0
-            v[3 + i] = v[3 + i] / n1
-        g = v[0] * v[3] + v[1] * v[4] + v[2] * v[5]
-        if abs(g - gamma) < tol:
-            return v, True
-        # mixing v_i' = v_i + s v_{1-i} restores the coupling when
-        # (g - gamma) s^2 + 2 (1 - gamma g) s + (g - gamma) = 0; the two
-        # roots multiply to 1, take the small one
-        a = g - gamma
-        b = 1.0 - gamma * g
-        disc = b * b - a * a
-        if disc < 0.0:
-            disc = 0.0
-        s = -a / (b + np.sqrt(disc))
-        for i in range(3):
-            p = v[i]
-            q = v[3 + i]
-            v[i] = p + s * q
-            v[3 + i] = q + s * p
-    return v, False
-
-
-@njit(cache=True)
-def tangent_projected_grad(u, grad, gamma):
-    """Remove from grad the components normal to the constraint manifold.
-
-    Normals are n1 = (u0, 0), n2 = (0, u1), n3 = (u1, u0); their Gram system
-    is solved in closed form. When the coupling constraint is degenerate
-    (gamma near +-1) n3 lies in span{n1, n2} and is dropped.
-    """
-    c1 = grad[0] * u[0] + grad[1] * u[1] + grad[2] * u[2]
-    c2 = grad[3] * u[3] + grad[4] * u[4] + grad[5] * u[5]
-    c3 = (
-        grad[0] * u[3]
-        + grad[1] * u[4]
-        + grad[2] * u[5]
-        + grad[3] * u[0]
-        + grad[4] * u[1]
-        + grad[5] * u[2]
-    )
-    det = 2.0 * (1.0 - gamma * gamma)
-    out = np.empty(6, dtype=np.float64)
-    if det > 1e-12:
-        a3 = (c3 - gamma * (c1 + c2)) / det
-        a1 = c1 - gamma * a3
-        a2 = c2 - gamma * a3
-    else:
-        a3 = 0.0
-        a1 = c1
-        a2 = c2
-    for i in range(3):
-        out[i] = grad[i] - a1 * u[i] - a3 * u[3 + i]
-        out[3 + i] = grad[3 + i] - a2 * u[3 + i] - a3 * u[i]
+def rotate(x, phi):
+    """exp([phi]x) x by Rodrigues' formula, for a rotation vector phi."""
+    out = x.copy()
+    angle = np.sqrt(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])
+    if angle == 0.0:
+        return out
+    k0 = phi[0] / angle
+    k1 = phi[1] / angle
+    k2 = phi[2] / angle
+    c = np.cos(angle)
+    s = np.sin(angle)
+    h = np.sin(0.5 * angle)
+    kdx = (k0 * x[0] + k1 * x[1] + k2 * x[2]) * (2.0 * h * h)
+    out[0] = x[0] * c + (k1 * x[2] - k2 * x[1]) * s + k0 * kdx
+    out[1] = x[1] * c + (k2 * x[0] - k0 * x[2]) * s + k1 * kdx
+    out[2] = x[2] * c + (k0 * x[1] - k1 * x[0]) * s + k2 * kdx
     return out
 
 
 @njit(cache=True)
-def _tangent_norm(u, gamma):
-    gt = tangent_projected_grad(u, clone_lambda_grad(u), gamma)
-    return np.sqrt(
-        gt[0] ** 2 + gt[1] ** 2 + gt[2] ** 2 + gt[3] ** 2 + gt[4] ** 2 + gt[5] ** 2
-    )
+def ascend(rot, theta, step_init, grad_tol, max_iters):
+    """Riemannian gradient ascent over the rotation R from one start.
 
+    The feasible point of R is u0 = v, u1 = v + d with v = R e1 and
+    d = R (-2 sin^2(theta/2), sin(theta), 0). A step is
+    R -> exp([t omega / sin^2(theta)]x) R; t starts from a warm ladder
+    (doubled after each accepted step) and is halved until the Armijo test
+    passes. The objective and its curvature both scale with sin^2(theta),
+    so t and the certificate are free of theta.
 
-@njit(cache=True)
-def ascend(
-    u_init, gamma, step_init, grad_tol, max_iters, proj_tol, proj_max_iters
-):
-    """Projected gradient ascent from one start.
-
-    Backtracking (halving) line search with an Armijo test; once the
-    objective is flat at double resolution, steps that strictly shrink the
-    tangent gradient norm are accepted instead, which polishes the iterate
-    down to the grad_tol stationarity certificate.
-
-    Returns (point, objective, tangent gradient norm, iterations, converged).
-    Converged means the tangent gradient norm fell below grad_tol.
+    Returns (point, objective, |omega|, iterations, converged), point being
+    (u0, u1). Converged means |omega| <= grad_tol * sin^2(theta); at theta = 0
+    the objective is identically zero and every start converges at once.
     """
-    u, ok = project_pair(u_init, gamma, proj_tol, proj_max_iters)
-    if not ok:
-        return u, -1.0, np.inf, 0, False
-    lam = clone_lambda(u)
-    gnorm = np.inf
-    # warm-started ladder: doubles after each acceptance so weakly curved
-    # directions (small overlap angles) still contract fast
+    c2 = np.sin(theta)
+    c1 = -2.0 * np.sin(0.5 * theta) ** 2
+    s2 = c2 * c2
+    v = np.empty(3, dtype=np.float64)
+    d = np.empty(3, dtype=np.float64)
+    for i in range(3):
+        v[i] = rot[i, 0]
+        d[i] = c1 * rot[i, 0] + c2 * rot[i, 1]
+    lam = clone_lambda(v, d)
     step_try = step_init
-    for it in range(max_iters):
-        grad = clone_lambda_grad(u)
-        gt = tangent_projected_grad(u, grad, gamma)
-        gnorm = np.sqrt(
-            gt[0] ** 2 + gt[1] ** 2 + gt[2] ** 2 + gt[3] ** 2 + gt[4] ** 2 + gt[5] ** 2
-        )
-        if gnorm < grad_tol:
-            return u, lam, gnorm, it, True
+    it = 0
+    while True:
+        omega = rotation_grad(v, d)
+        gnorm = np.sqrt(omega[0] * omega[0] + omega[1] * omega[1] + omega[2] * omega[2])
+        if gnorm <= grad_tol * s2 or s2 == 0.0 or it == max_iters:
+            break
         step = step_try
         improved = False
-        while step > 1e-18:
-            cand = np.empty(6, dtype=np.float64)
-            for i in range(6):
-                cand[i] = u[i] + step * gt[i]
-            cand, okc = project_pair(cand, gamma, proj_tol, proj_max_iters)
-            if okc:
-                lam_c = clone_lambda(cand)
-                if lam_c > lam + 1e-4 * step * gnorm * gnorm:
-                    u = cand
-                    lam = lam_c
-                    improved = True
-                    break
-                flat = abs(lam_c - lam) <= 4e-16 * (1.0 + abs(lam))
-                if flat and _tangent_norm(cand, gamma) < gnorm * (1.0 - 1e-6):
-                    u = cand
-                    lam = lam_c
-                    improved = True
-                    break
+        phi = np.empty(3, dtype=np.float64)
+        while step > 1e-12:
+            for i in range(3):
+                phi[i] = omega[i] * (step / s2)
+            v_c = rotate(v, phi)
+            d_c = rotate(d, phi)
+            lam_c = clone_lambda(v_c, d_c)
+            if lam_c > lam + 1e-4 * step * gnorm * gnorm / s2:
+                v = v_c
+                d = d_c
+                lam = lam_c
+                improved = True
+                break
             step *= 0.5
         if not improved:
-            # step collapsed: stationary to machine precision
-            return u, lam, gnorm, it, gnorm < grad_tol
-        step_try = min(step * 2.0, 1e6)
-    return u, lam, gnorm, max_iters, gnorm < grad_tol
+            # no step increases the objective: its rounding floor
+            break
+        step_try = 2.0 * step
+        it += 1
+    point = np.empty(6, dtype=np.float64)
+    for i in range(3):
+        point[i] = v[i]
+        point[3 + i] = v[i] + d[i]
+    return point, lam, gnorm, it, gnorm <= grad_tol * s2
 
 
 @njit(cache=True)
-def run_starts(
-    starts, gamma, step_init, grad_tol, max_iters, proj_tol, proj_max_iters
-):
-    """Ascend from every start row. Serial, order-independent per start."""
+def run_starts(starts, theta, step_init, grad_tol, max_iters):
+    """Ascend from every start rotation. Serial, order-independent per start."""
     n = starts.shape[0]
     points = np.empty((n, 6), dtype=np.float64)
     lams = np.empty(n, dtype=np.float64)
@@ -304,9 +245,7 @@ def run_starts(
     iters = np.empty(n, dtype=np.int64)
     conv = np.zeros(n, dtype=np.bool_)
     for k in range(n):
-        u, lam, gn, it, ok = ascend(
-            starts[k], gamma, step_init, grad_tol, max_iters, proj_tol, proj_max_iters
-        )
+        u, lam, gn, it, ok = ascend(starts[k], theta, step_init, grad_tol, max_iters)
         points[k] = u
         lams[k] = lam
         gnorms[k] = gn

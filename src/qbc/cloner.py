@@ -24,20 +24,10 @@ import numpy as np
 
 from . import hilbert
 from . import tolerances as tol
-from .discrimination import pure_pair_error
+from .discrimination import check_phi, check_theta, pure_pair_error
 from .errors import InfeasibleParamsError, SingularExpansionError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-def check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-
-
-def check_phi(phi: float) -> None:
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
 
 
 @dataclass(frozen=True)

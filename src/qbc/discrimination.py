@@ -15,6 +15,16 @@ from . import hilbert
 from . import tolerances as tol
 
 
+def check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= math.pi / 2.0:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+
+
+def check_phi(phi: float) -> None:
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+
+
 @dataclass(frozen=True)
 class BinaryPOVM:
     """Pair of positive operators summing to the identity."""
@@ -85,7 +95,7 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
 
 def pure_pair_kets(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The reference pure pair with overlap cos(theta)."""
-    _check_theta(theta)
+    check_theta(theta)
     k0 = hilbert.basis(2, 0)
     k1 = hilbert.ket([math.cos(theta), math.sin(theta)])
     return k0, k1
@@ -93,7 +103,7 @@ def pure_pair_kets(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def pure_pair_error(theta: float) -> float:
     """Minimum error for two equiprobable pure states with overlap cos(theta)."""
-    _check_theta(theta)
+    check_theta(theta)
     return 0.5 * (1.0 - math.sin(theta))
 
 
@@ -104,15 +114,9 @@ def clone_povm_closed_form(phi: float) -> BinaryPOVM:
     complement. Written with half angles, so the phi in {0, pi} limits
     (standard-basis projectors) need no special casing.
     """
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+    check_phi(phi)
     c = math.cos(phi / 2.0)
     s = math.sin(phi / 2.0)
     plus = np.array([c, s], dtype=np.complex128)
     minus = np.array([-s, c], dtype=np.complex128)
     return BinaryPOVM(pi0=np.outer(plus, plus.conj()), pi1=np.outer(minus, minus.conj()))
-
-
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")

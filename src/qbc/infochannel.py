@@ -133,15 +133,22 @@ def check_degraded(p1: BinaryChannel, p2: BinaryChannel) -> float:
     both channels column-stochastic the row residuals are complementary, so
     the reported number is the max entrywise residual. Zero (within 1e-12)
     certifies a degraded pair.
+
+    With W = [[1 - w0, w1], [w0, 1 - w1]] and k = 1 - w0 - w1, the first
+    row of p2 = W p1 reads p2[0, x] = w1 + k p1[0, x]. The solve uses only
+    the difference of p1's columns, never its inverse, whose entries grow
+    like 1/sin(theta) for the induced channel and lose the certificate
+    near theta = 0.
     """
     a, b = p1.p[0, 0], p1.p[0, 1]
     det = a - b  # distinct columns iff nonzero
     if abs(det) < tol.EQUALITY_TOL:
         # p1's output carries a single distribution; W can only shift it
         return abs(p2.p[0, 0] - p2.p[0, 1]) / 2.0
-    w_raw = p2.p @ np.linalg.inv(p1.p)
-    w0 = min(1.0, max(0.0, w_raw[1, 0]))
-    w1 = min(1.0, max(0.0, w_raw[0, 1]))
+    k = (p2.p[0, 0] - p2.p[0, 1]) / det
+    w1_raw = p2.p[0, 0] - a * k
+    w0 = min(1.0, max(0.0, 1.0 - k - w1_raw))
+    w1 = min(1.0, max(0.0, w1_raw))
     w = np.array([[1.0 - w0, w1], [w0, 1.0 - w1]])
     return float(np.max(np.abs(p2.p - w @ p1.p)))
 

@@ -1,10 +1,11 @@
 """Independent search for the best symmetric cloning map.
 
-Multi-start projected gradient ascent over the feasible manifold, run in
-sphere coordinates where the two unit-norm constraints become unit spheres
-and the overlap constraint a fixed inner product. Starts are Gaussian
-samples projected onto the manifold; each ascent is deterministic, so a
-fixed seed reproduces the report bit for bit.
+In sphere coordinates the feasible set {|u0| = |u1| = 1, u0.u1 = cos(theta)}
+is one SO(3) orbit {R P(theta)}, P(theta) = [e1, cos(theta) e1 +
+sin(theta) e2]. Projection onto it is one closed-form orthogonal Procrustes
+(Kabsch) step, and the search is multi-start Riemannian gradient ascent over
+R. Starts are Gaussian samples projected onto the orbit; each ascent is
+deterministic, so a fixed seed reproduces the report bit for bit.
 
 The hot loops live in qbc._kernels and are numba-compiled unless
 QBC_DISABLE_NUMBA is set.
@@ -16,21 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from ._kernels import project_pair, run_starts
-from .cloner import (
-    CloneParams,
-    XYParams,
-    check_theta,
-    constraint_residuals,
-    from_xy,
-    lambda_objective,
-    to_xy,
-)
+from ._kernels import run_starts
+from .cloner import CloneParams, XYParams, constraint_residuals, from_xy, to_xy
+from .discrimination import check_theta
 from .errors import OptimizationFailure, ProjectionError
-
-# projection iterated below its contract residual; conversion noise stays
-# well under the 1e-12 feasibility guarantee
-_NEWTON_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationReport:
+    """Result of maximize_lambda, taken from the best converged start.
+
+    lambda_max is the ascent's cancellation-free objective at that start's
+    orbit point; lambda_objective(best_params) agrees with it up to the
+    rounding of the coefficients, which matters only in relative terms as
+    theta goes to 0.
+    """
+
     best_params: CloneParams
     lambda_max: float
     starts_converged: int
@@ -73,37 +71,51 @@ def _params_from_vector(u: np.ndarray) -> CloneParams:
     return from_xy(xy)
 
 
+def _orbit_frame(theta: float) -> np.ndarray:
+    """P(theta) = [e1, cos(theta) e1 + sin(theta) e2]; the orbit is {R P(theta)}."""
+    return np.array([[1.0, math.cos(theta)], [0.0, math.sin(theta)], [0.0, 0.0]])
+
+
+def _nearest_rotations(u: np.ndarray, theta: float) -> np.ndarray:
+    """Kabsch: for each row u = (u0, u1), the R in SO(3) nearest to U = [u0, u1].
+
+    R minimizes |R P(theta) - U| over SO(3): it is the polar factor of
+    U P(theta)^T, with the last singular direction flipped when needed so
+    that det R = +1. Returns the rotations with shape (rows, 3, 3).
+    """
+    m = u.reshape(-1, 2, 3).transpose(0, 2, 1) @ _orbit_frame(theta).T
+    if not np.all(np.any(m, axis=(1, 2))):
+        raise ProjectionError("U P(theta)^T is zero: every feasible point is equally near")
+    w, _, vt = np.linalg.svd(m)
+    w[:, :, 2] *= np.sign(np.linalg.det(w @ vt))[:, None]
+    return w @ vt
+
+
+def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
+    """The feasible point R P(theta) nearest to one sphere-coordinate vector."""
+    point = _nearest_rotations(u, theta)[0] @ _orbit_frame(theta)
+    return _params_from_vector(point.T.reshape(6))
+
+
 def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
     """Project raw coefficients onto the feasible set for the given angle.
 
-    The input must be within the projection basin: each row's weighted norm
-    in [0.1, 10]. Already-feasible input is a fixed point.
+    One closed-form orthogonal Procrustes step; already-feasible input is a
+    fixed point. Raises ProjectionError when no point is nearest (all-zero
+    rows, or antiparallel rows at theta = 0).
     """
     check_theta(theta)
-    u = _xy_vector(to_xy(raw))
-    for half in (u[0:3], u[3:6]):
-        norm = float(np.linalg.norm(half))
-        if not 0.1 <= norm <= 10.0:
-            raise ProjectionError(
-                f"row weighted norm {norm:.3e} outside the projection basin [0.1, 10]"
-            )
-    point, ok = project_pair(u, math.cos(theta), _NEWTON_TOL, tol.PROJECTION_MAX_ITERS)
-    if not ok:
-        raise ProjectionError(
-            f"feasibility projection did not converge in {tol.PROJECTION_MAX_ITERS} iterations"
-        )
-    return _params_from_vector(point)
+    return _feasible_params(_xy_vector(to_xy(raw)), theta)
 
 
 def random_feasible_params(theta: float, rng: np.random.Generator) -> CloneParams:
-    """A feasible point drawn by projecting a Gaussian sample."""
+    """A feasible point drawn by projecting a Gaussian sample.
+
+    The projection commutes with rotations, so the point is uniform on the
+    feasible orbit.
+    """
     check_theta(theta)
-    point, ok = project_pair(
-        rng.standard_normal(6), math.cos(theta), _NEWTON_TOL, tol.PROJECTION_MAX_ITERS
-    )
-    if not ok:
-        raise ProjectionError("projection of the random sample failed")
-    return _params_from_vector(point)
+    return _feasible_params(rng.standard_normal(6), theta)
 
 
 def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> OptimizationReport:
@@ -117,15 +129,9 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
     if config is None:
         config = OptimizerConfig()
     rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.n_starts, 6))
+    starts = _nearest_rotations(rng.standard_normal((config.n_starts, 6)), theta)
     points, lams, gnorms, iters, conv = run_starts(
-        starts,
-        math.cos(theta),
-        config.step_init,
-        config.tol,
-        config.max_iters,
-        _NEWTON_TOL,
-        tol.PROJECTION_MAX_ITERS,
+        starts, theta, config.step_init, config.tol, config.max_iters
     )
     n_conv = int(np.count_nonzero(conv))
     if n_conv == 0:
@@ -133,7 +139,8 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
             "no start converged: "
             f"theta={theta}, n_starts={config.n_starts}, max_iters={config.max_iters}, "
             f"best objective={float(np.max(lams))}, "
-            f"tangent gradient norms in [{float(np.min(gnorms))}, {float(np.max(gnorms))}]"
+            f"gradient norms in [{float(np.min(gnorms))}, {float(np.max(gnorms))}] "
+            f"against tol * sin^2(theta) = {config.tol * math.sin(theta) ** 2}"
         )
     best_k = -1
     best_lam = -np.inf
@@ -150,7 +157,7 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
             distinct.append((points[k], _params_from_vector(points[k])))
     return OptimizationReport(
         best_params=best_params,
-        lambda_max=lambda_objective(best_params),
+        lambda_max=float(lams[best_k]),
         starts_converged=n_conv,
         residual_max=float(np.max(np.abs(constraint_residuals(best_params, theta)))),
         distinct_optima=tuple(p for _, p in distinct),

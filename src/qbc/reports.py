@@ -93,6 +93,7 @@ def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
             "lambda_max": report.lambda_max,
             "reference": reference,
             "gap": abs(report.lambda_max - reference),
+            "relative_gap": abs(report.lambda_max / reference - 1.0) if reference else None,
             "starts_converged": report.starts_converged,
             "residual_max": report.residual_max,
             "distinct_optima": len(report.distinct_optima),

@@ -24,11 +24,9 @@ JACOBI_MAX_SWEEPS = 100
 # Constraint residual bound for cloning parameters labeled feasible.
 FEASIBILITY_TOL = 1e-9
 
-# Feasibility projection: residual target and iteration cap.
-PROJECTION_TOL = 1e-12
-PROJECTION_MAX_ITERS = 200
-
-# Optimizer defaults.
+# Optimizer defaults. The gradient tolerance is relative: a start converges
+# once |omega| <= OPTIMIZER_GRAD_TOL * sin^2(theta). The line search stops
+# seeing gains near 1e-8 of that scale, where the objective rounds.
 OPTIMIZER_STEP_INIT = 0.1
-OPTIMIZER_GRAD_TOL = 1e-10
+OPTIMIZER_GRAD_TOL = 1e-6
 OPTIMIZER_MAX_ITERS = 5000

@@ -271,13 +271,13 @@ def _suite_optimizer(seed: int, corrupt: bool) -> list[CheckResult]:
         det.add(0.0 if identical else 1.0, f"theta={theta}")
 
     feas = _Check("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL, corrupt)
-    from .optimizer import _NEWTON_TOL, _params_from_vector
+    from .optimizer import _nearest_rotations, _params_from_vector
 
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
-        starts = np.random.default_rng([seed, 5]).standard_normal((16, 6))
+        raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
         points, lams, gnorms, iters, conv = run_starts(
-            starts, math.cos(theta), tol.OPTIMIZER_STEP_INIT, tol.OPTIMIZER_GRAD_TOL,
-            tol.OPTIMIZER_MAX_ITERS, _NEWTON_TOL, tol.PROJECTION_MAX_ITERS,
+            _nearest_rotations(raw, theta), theta, tol.OPTIMIZER_STEP_INIT,
+            tol.OPTIMIZER_GRAD_TOL, tol.OPTIMIZER_MAX_ITERS,
         )
         for k in range(len(points)):
             if conv[k]:

@@ -79,6 +79,18 @@ class TestOptimize:
         assert rep["gap"] < 1e-6
         assert abs(rep["reference"] - 0.75) < 1e-12
 
+    def test_small_angle_relative_gap(self):
+        out = run_qbc("optimize", "--theta", "0.001", "--n-starts", "8")
+        assert out.returncode == 0, out.stderr
+        rep = json.loads(out.stdout)
+        assert rep["relative_gap"] <= 1e-9
+        assert rep["starts_converged"] == 8
+
+    def test_identical_inputs_have_no_relative_gap(self):
+        rep = json.loads(run_qbc("optimize", "--theta", "0", "--n-starts", "4").stdout)
+        assert rep["reference"] == 0.0
+        assert rep["relative_gap"] is None
+
     def test_same_seed_identical_bytes(self):
         a = run_qbc("optimize", "--theta", "0.9", "--seed", "3")
         b = run_qbc("optimize", "--theta", "0.9", "--seed", "3")

@@ -102,14 +102,26 @@ class TestJointCloneChannel:
         assert np.max(np.abs(joint[:, :, 0] - product)) > 1e-3
 
 
+# induced channels whose columns differ by only sin(theta); solving through
+# the inverse channel matrix missed the 1e-12 certificate on both
+SMALL_ANGLE_CHANNELS = ((1e-6, 1.0), (1.8e-5, 0.06 * math.pi))
+
+
 class TestCheckDegraded:
     def test_equal_channels(self):
         ch = bsc(0.13)
         assert check_degraded(ch, ch) == pytest.approx(0.0, abs=1e-15)
+        for theta, phi in SMALL_ANGLE_CHANNELS:
+            ch = induced_channel(theta, phi, clone_povm_closed_form(phi))
+            assert check_degraded(ch, ch) <= 1e-15, theta
 
     def test_bsc_cascade(self):
         # 0.2 = 0.1 * (1 - w) + 0.9 * w has the stochastic solution w = 1/8
         assert check_degraded(bsc(0.1), bsc(0.2)) == pytest.approx(0.0, abs=1e-12)
+        for theta, phi in SMALL_ANGLE_CHANNELS:
+            ch = induced_channel(theta, phi, clone_povm_closed_form(phi))
+            weaker = BinaryChannel(bsc(0.2).p @ ch.p)
+            assert check_degraded(ch, weaker) <= 1e-12, theta
 
     def test_not_degraded(self):
         useless = BinaryChannel(np.full((2, 2), 0.5))
@@ -118,6 +130,8 @@ class TestCheckDegraded:
     def test_reverse_direction_requires_clamping(self):
         # a cleaner channel cannot be a post-processing of a noisier one
         assert check_degraded(bsc(0.2), bsc(0.1)) > 1e-3
+        ch = induced_channel(0.5, 1.0, clone_povm_closed_form(1.0))
+        assert check_degraded(BinaryChannel(bsc(0.2).p @ ch.p), ch) > 1e-3
 
 
 class TestCascadeJoint:

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from qbc._kernels import clone_lambda, clone_lambda_grad, project_pair
-from qbc.cloner import CloneParams, constraint_residuals, lambda_objective, optimal_params
+from qbc._kernels import clone_lambda, rotate, rotation_grad
+from qbc.cloner import (
+    CloneParams,
+    XYParams,
+    constraint_residuals,
+    from_xy,
+    lambda_objective,
+    optimal_params,
+)
 from qbc.errors import OptimizationFailure, ProjectionError
 from qbc.optimizer import (
     OptimizerConfig,
@@ -37,25 +44,37 @@ class TestProjectToFeasible:
 
     def test_random_projections_feasible(self):
         rng = np.random.default_rng(41)
-        for _ in range(300):
-            theta = rng.uniform(0, math.pi / 2)
+        thetas = [0.0, math.pi / 2] + [rng.uniform(0, math.pi / 2) for _ in range(300)]
+        for theta in thetas:
             p = random_feasible_params(theta, rng)
             assert np.max(np.abs(constraint_residuals(p, theta))) < 1e-12
+        # the parallel target is met exactly: both rows coincide
+        p = random_feasible_params(0.0, rng)
+        np.testing.assert_array_equal(p.row(0), p.row(1))
 
 
 class TestGradient:
     def test_matches_central_differences(self):
+        """omega against derivatives of lambda(exp([h w]x) R) along axes and omega."""
         rng = np.random.default_rng(43)
-        h = 1e-6
+        h = 1e-5
         for _ in range(100):
-            u = rng.standard_normal(6)
-            grad = clone_lambda_grad(u)
-            for i in range(6):
-                up, dn = u.copy(), u.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (clone_lambda(up) - clone_lambda(dn)) / (2 * h)
-                assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi / 2)))
+            psi = rng.standard_normal(3)
+            v = rotate(np.array([1.0, 0.0, 0.0]), psi)
+            b = rotate(np.array([0.0, 1.0, 0.0]), psi)
+            d = -2.0 * math.sin(theta / 2) ** 2 * v + math.sin(theta) * b
+            # the cancellation-free objective against the coefficient form
+            w = v + d
+            xy = XYParams(x0=v[0], y0=v[1], b0=v[2] / math.sqrt(2), x1=w[0], y1=w[1], b1=w[2] / math.sqrt(2))
+            assert clone_lambda(v, d) == pytest.approx(lambda_objective(from_xy(xy)), rel=1e-8)
+            omega = rotation_grad(v, d)
+            s2 = math.sin(theta) ** 2
+            for w in [*np.eye(3), omega / np.linalg.norm(omega)]:
+                up = clone_lambda(rotate(v, h * w), rotate(d, h * w))
+                dn = clone_lambda(rotate(v, -h * w), rotate(d, -h * w))
+                fd = (up - dn) / (2 * h)
+                assert np.dot(omega, w) == pytest.approx(fd, abs=1e-8 * s2)
 
 
 class TestMaximizeLambda:
@@ -115,20 +134,3 @@ class TestUpperBound:
             theta = rng.uniform(0, math.pi / 2)
             p = random_feasible_params(theta, rng)
             assert lambda_objective(p) <= math.sin(theta) ** 2 + 1e-9
-
-
-class TestProjectPairKernel:
-    def test_parallel_target_exact(self):
-        u = np.array([1.0, 0.2, -0.3, -0.5, 0.9, 0.1])
-        v, ok = project_pair(u, 1.0, 1e-14, 200)
-        assert ok
-        np.testing.assert_array_equal(v[:3], v[3:])
-        assert np.dot(v[:3], v[:3]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_generic_target(self):
-        rng = np.random.default_rng(53)
-        for _ in range(500):
-            gamma = math.cos(rng.uniform(0, math.pi / 2))
-            v, ok = project_pair(rng.standard_normal(6), gamma, 1e-14, 200)
-            assert ok
-            assert abs(np.dot(v[:3], v[3:]) - gamma) < 1e-13
