@@ -5,11 +5,15 @@ returned read-only so values can be shared freely across threads. Basis
 convention: index 0 is the reference basis state |0>, index 1 its
 orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
 
-The eigensolver is a cyclic Jacobi iteration (see qbc._kernels), chosen for
-determinism at these dimensions; eigenvector phases are fixed so identical
-inputs give identical outputs bit for bit.
+The eigensolver is deterministic Jacobi at both dimensions. At dim 2 it is
+one closed-form Jacobi rotation (the symmetric Schur decomposition) in
+straight-line scalar code; at dim 4 it is the cyclic kernel
+qbc._kernels.jacobi_eigh. The dim-2 path takes the kernel's steps in the
+kernel's order, so both give the same values. Eigenvector phases are fixed
+so identical inputs give identical outputs bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +98,15 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two dim-2 kets; component 2j+k is a_j * b_k."""
     if a.shape != (2,) or b.shape != (2,):
         raise ValueError("tensor expects two dim-2 kets")
-    return _readonly(np.kron(a, b))
+    return _readonly((a[:, None] * b[None, :]).reshape(4))
 
 
 def tensor_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two dim-2 operators."""
+    """Tensor product of two dim-2 operators; entry (2i+k, 2j+l) is a_ij * b_kl."""
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("tensor_op expects two 2x2 operators")
-    return _readonly(np.kron(a, b))
+    # one multiply per entry, as np.kron does, without its generic set-up
+    return _readonly((a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4))
 
 
 def outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -146,14 +151,65 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Spectral decomposition of a Hermitian operator (dim 2 or 4).
 
     The input may deviate from exact hermiticity by up to 1e-9; it is
-    symmetrized before the Jacobi iteration. Output is deterministic.
+    symmetrized before the Jacobi rotations. Output is deterministic.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
         raise ValueError(f"hermitian_eig expects a square dim-2 or dim-4 matrix, got {m.shape}")
     require_hermitian(m)
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0, dtype=np.complex128)
-    evals, evecs = jacobi_eigh(sym)
+    evals, evecs = _eigh2(sym) if sym.shape[0] == 2 else jacobi_eigh(sym)
     return EigDecomposition(_readonly(evals), _readonly(evecs))
+
+
+def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """jacobi_eigh of a 2x2 Hermitian matrix as one closed-form rotation.
+
+    At dim 2 the kernel's first rotation zeroes the only off-diagonal pair,
+    so its second sweep stops at once. This is that rotation, the stable
+    ascending sort and the phase fix, on Python scalars and in the kernel's
+    order of operations, so the values equal the kernel's.
+    """
+    (a00, a01), (_, a11) = sym.tolist()
+    app, aqq = a00.real, a11.real
+    # a finite symmetrized entry has parts below half the float maximum, so
+    # this cannot raise the OverflowError of Python's complex abs
+    r = abs(a01)
+    if math.sqrt(2.0 * (r * r)) < tol.JACOBI_OFFDIAG_TOL:
+        evals = [app, aqq]
+        cols = [[1.0 + 0j, 0j], [0j, 1.0 + 0j]]
+    else:
+        w = complex(a01.real / r, a01.imag / r)
+        tau = (aqq - app) / (2.0 * r)
+        if tau >= 0.0:
+            t = 1.0 / (tau + math.sqrt(tau * tau + 1.0))
+        else:
+            t = -1.0 / (-tau + math.sqrt(tau * tau + 1.0))
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        s = t * c
+        evals = [app - t * r, aqq + t * r]
+        # the rotation applied to the identity, column by column
+        cols = [
+            [complex(c), complex(-s * w.real, s * w.imag)],
+            [complex(s * w.real, s * w.imag), complex(c)],
+        ]
+    if evals[0] > evals[1]:  # ties keep their order, as in the kernel's insertion sort
+        evals.reverse()
+        cols.reverse()
+    vecs = []
+    for col in cols:
+        # largest-magnitude component made real and positive; a tie keeps index 0
+        best, best_mag = 0, -1.0
+        for i, z in enumerate(col):
+            mag = abs(z)
+            if mag > best_mag:
+                best, best_mag = i, mag
+        lead = col[best]
+        phase = complex(lead.real / best_mag, -lead.imag / best_mag)
+        vecs.append([z * phase for z in col])
+    return (
+        np.array(evals, dtype=np.float64),
+        np.array([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]], dtype=np.complex128),
+    )
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

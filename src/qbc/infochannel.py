@@ -29,14 +29,19 @@ class BinaryChannel:
     p: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.p, dtype=np.float64)
+        # a private copy: freezing it leaves the caller's array writable
+        m = np.array(self.p, dtype=np.float64)
         if m.shape != (2, 2):
             raise ValueError(f"channel matrix must be 2x2, got {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        (p00, p01), (p10, p11) = m.tolist()
+        entries = (p00, p01, p10, p11)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("channel entries must be finite")
+        if not all(0.0 <= x <= 1.0 for x in entries):
             raise ValueError("channel entries must lie in [0, 1]")
-        colsums = m.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > tol.EQUALITY_TOL:
-            raise ValueError(f"channel columns must sum to 1, got {colsums}")
+        colsums = (p00 + p10, p01 + p11)
+        if max(abs(colsums[0] - 1.0), abs(colsums[1] - 1.0)) > tol.EQUALITY_TOL:
+            raise ValueError(f"channel columns must sum to 1, got {np.array(colsums)}")
         m.setflags(write=False)
         object.__setattr__(self, "p", m)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qbc import hilbert
+from qbc._kernels import jacobi_eigh
 
 LN2 = math.log(2.0)
 
@@ -73,6 +74,16 @@ class TestTensor:
     def test_rejects_dim4(self):
         with pytest.raises(ValueError):
             hilbert.tensor(hilbert.basis(4, 0), hilbert.basis(2, 0))
+
+    def test_bytes_match_kron(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b, c, d = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+            assert hilbert.tensor(a[0], b[1]).tobytes() == np.kron(a[0], b[1]).tobytes()
+            assert hilbert.tensor_op(c, d).tobytes() == np.kron(c, d).tobytes()
+            got = hilbert.tensor_op(c.real.copy(), d.real.copy())
+            want = np.kron(c.real, d.real)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestPartialTrace:
@@ -176,6 +187,32 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hilbert.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    def test_dim2_path_equals_jacobi_kernel(self):
+        """The closed-form dim-2 rotation gives the cyclic kernel's values."""
+        rng = np.random.default_rng(24)
+        big = 8e307 + 8e307j  # |big| is finite, its square is not
+        inputs = [
+            np.zeros((2, 2)),
+            np.eye(2),
+            np.diag([3.0, -1.0]),
+            np.full((2, 2), 0.5),
+            np.array([[0.0, big], [np.conj(big), 0.0]]),
+        ]
+        for _ in range(1000):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            m = (g + g.conj().T) / 2
+            inputs += [m, m.real, np.diag(np.diag(m)), m * 1e300, m * 1e-300, m * 1e-14]
+        for m in inputs:
+            for sign in (1.0, -1.0):
+                m2 = np.asarray(sign * m, dtype=complex)
+                dec = hilbert.hermitian_eig(m2)
+                sym = np.ascontiguousarray((m2 + m2.conj().T) / 2.0)
+                with np.errstate(over="ignore", invalid="ignore"):  # huge entries
+                    evals, evecs = jacobi_eigh(sym)
+                # float64 views: -0.0 == 0.0, so only values are compared
+                assert np.array_equal(dec.eigenvalues, evals)
+                assert np.array_equal(dec.eigenvectors.view(np.float64), evecs.view(np.float64))
 
 
 class TestEntropy:

@@ -274,6 +274,19 @@ class TestChannelValidation:
         with pytest.raises(ValueError):
             BinaryChannel(np.array([[1.1, 0.0], [-0.1, 1.0]]))
 
+    def test_rejects_nan(self):
+        # every comparison with NaN is false, so range checks alone pass it
+        with pytest.raises(ValueError, match="finite"):
+            BinaryChannel(np.array([[math.nan, 0.5], [math.nan, 0.5]]))
+
+    def test_caller_array_stays_writable(self):
+        p = np.array([[0.9, 0.2], [0.1, 0.8]])
+        channel = BinaryChannel(p)
+        assert p.flags.writeable
+        assert not channel.p.flags.writeable
+        p[0, 0] = 0.0
+        assert channel.p[0, 0] == 0.9
+
     def test_joint_distribution_requires_unit_mass(self):
         with pytest.raises(ValueError):
             JointDistribution(vars=("A", "B"), table=np.full((2, 2), 0.3))
