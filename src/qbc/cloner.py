@@ -163,6 +163,9 @@ def lambda_objective(params: CloneParams) -> float:
     Equals the squared smallest eigenvalue of rho0 - rho1; both groups of
     terms are squared, which the eigenvalue identity requires. The optimal
     error then reads 1/2 (1 - sqrt(lambda)).
+
+    On optimal_params(theta, phi), |lambda / sin(theta)^2 - 1| <= 2^-49 /
+    sin(theta): the coefficients' rounding, amplified as theta goes to 0.
     """
     g1 = (
         params.a1 * params.c1

@@ -33,19 +33,21 @@ class BinaryPOVM:
     pi1: np.ndarray
 
     def __post_init__(self):
-        if self.pi0.shape != self.pi1.shape:
+        # private copies: freezing them leaves the caller's arrays writable
+        pi0, pi1 = np.array(self.pi0), np.array(self.pi1)
+        if pi0.shape != pi1.shape:
             raise ValueError("POVM elements must share a dimension")
-        dim = self.pi0.shape[0]
-        dev = float(np.max(np.abs(self.pi0 + self.pi1 - np.eye(dim))))
+        dev = float(np.max(np.abs(pi0 + pi1 - np.eye(pi0.shape[0]))))
         if dev > tol.EQUALITY_TOL:
             raise ValueError(f"POVM elements do not sum to identity: deviation {dev:.3e}")
-        for elem in (self.pi0, self.pi1):
-            hilbert.require_hermitian(elem)
+        for elem in (pi0, pi1):
+            # hermitian_eig also rejects non-finite and non-Hermitian elements
             evals = hilbert.hermitian_eig(elem).eigenvalues
             if evals[0] < tol.EIGENVALUE_FLOOR:
                 raise ValueError(f"POVM element has eigenvalue {evals[0]:.3e} below floor")
-        self.pi0.setflags(write=False)
-        self.pi1.setflags(write=False)
+            elem.setflags(write=False)
+        object.__setattr__(self, "pi0", pi0)
+        object.__setattr__(self, "pi1", pi1)
 
 
 @dataclass(frozen=True)

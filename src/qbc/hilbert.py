@@ -5,12 +5,11 @@ returned read-only so values can be shared freely across threads. Basis
 convention: index 0 is the reference basis state |0>, index 1 its
 orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
 
-The eigensolver is deterministic Jacobi at both dimensions. At dim 2 it is
-one closed-form Jacobi rotation (the symmetric Schur decomposition) in
-straight-line scalar code; at dim 4 it is the cyclic kernel
-qbc._kernels.jacobi_eigh. The dim-2 path takes the kernel's steps in the
-kernel's order, so both give the same values. Eigenvector phases are fixed
-so identical inputs give identical outputs bit for bit.
+The eigensolver is deterministic. At dim 2 it is one closed-form Jacobi
+rotation (the symmetric Schur decomposition) in straight-line scalar code;
+at dim 4 it is LAPACK's Hermitian solver through numpy.linalg.eigh. At both
+dims each eigenvector's largest-magnitude component is made real and
+positive, so identical inputs give identical outputs bit for bit.
 """
 
 import math
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from ._kernels import jacobi_eigh
 
 _DIMS = (2, 4)
 
@@ -71,14 +69,17 @@ def require_normalized(a: np.ndarray, tolerance: float = tol.EQUALITY_TOL) -> No
 
 
 def require_hermitian(m: np.ndarray, tolerance: float = tol.VALIDATION_TOL) -> None:
+    # a NaN or infinite entry makes dev NaN, or infinite when it meets a
+    # finite partner, so this one reduction also rejects non-finite input
     dev = float(np.max(np.abs(m - m.conj().T)))
+    if math.isnan(dev):
+        raise ValueError("matrix entries must be finite")
     if dev > tolerance:
         raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
 
 
 def require_density_matrix(rho: np.ndarray) -> None:
-    """Validate unit trace (1e-12) and eigenvalues above the PSD floor."""
-    require_hermitian(rho)
+    """Validate unit trace (1e-12), hermiticity and eigenvalues above the PSD floor."""
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol.EQUALITY_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
@@ -151,23 +152,23 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Spectral decomposition of a Hermitian operator (dim 2 or 4).
 
     The input may deviate from exact hermiticity by up to 1e-9; it is
-    symmetrized before the Jacobi rotations. Output is deterministic.
+    symmetrized before the solve. Non-finite entries raise ValueError.
+    Output is deterministic.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
         raise ValueError(f"hermitian_eig expects a square dim-2 or dim-4 matrix, got {m.shape}")
     require_hermitian(m)
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0, dtype=np.complex128)
-    evals, evecs = _eigh2(sym) if sym.shape[0] == 2 else jacobi_eigh(sym)
+    evals, evecs = _eigh2(sym) if sym.shape[0] == 2 else _eigh4(sym)
     return EigDecomposition(_readonly(evals), _readonly(evecs))
 
 
 def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """jacobi_eigh of a 2x2 Hermitian matrix as one closed-form rotation.
+    """Eigendecomposition of a 2x2 Hermitian matrix as one closed-form rotation.
 
-    At dim 2 the kernel's first rotation zeroes the only off-diagonal pair,
-    so its second sweep stops at once. This is that rotation, the stable
-    ascending sort and the phase fix, on Python scalars and in the kernel's
-    order of operations, so the values equal the kernel's.
+    One Jacobi rotation zeroes the only off-diagonal pair (skipped when it
+    is already below JACOBI_OFFDIAG_TOL), then come a stable ascending sort
+    and the phase fix, all on Python scalars.
     """
     (a00, a01), (_, a11) = sym.tolist()
     app, aqq = a00.real, a11.real
@@ -192,7 +193,7 @@ def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             [complex(c), complex(-s * w.real, s * w.imag)],
             [complex(s * w.real, s * w.imag), complex(c)],
         ]
-    if evals[0] > evals[1]:  # ties keep their order, as in the kernel's insertion sort
+    if evals[0] > evals[1]:  # ties keep their order
         evals.reverse()
         cols.reverse()
     vecs = []
@@ -210,6 +211,13 @@ def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.array(evals, dtype=np.float64),
         np.array([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]], dtype=np.complex128),
     )
+
+
+def _eigh4(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigh, then _eigh2's phase fix (largest component real and positive)."""
+    evals, vecs = np.linalg.eigh(sym)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(4)]
+    return evals, vecs * (lead.conj() / np.abs(lead))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -61,16 +61,19 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        n = len(self.vars)
-        if len(set(self.vars)) != n:
+        if len(set(self.vars)) != len(self.vars):
             raise ValueError("variable names must be distinct")
-        if t.shape != (2,) * n:
-            t = t.reshape((2,) * n)
-        if np.any(t < 0.0):
+        # a private copy: freezing it leaves the caller's array writable
+        t = np.array(self.table, dtype=np.float64).reshape((2,) * len(self.vars))
+        # tables here have at most 16 entries: Python floats beat numpy reductions
+        vals = t.reshape(-1).tolist()
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("probabilities must be finite")
+        if not all(x >= 0.0 for x in vals):
             raise ValueError("probabilities must be nonnegative")
-        if abs(t.sum() - 1.0) > tol.EQUALITY_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {t.sum()}")
+        total = math.fsum(vals)
+        if abs(total - 1.0) > tol.EQUALITY_TOL:
+            raise ValueError(f"probabilities must sum to 1, got {total}")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 

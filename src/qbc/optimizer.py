@@ -7,8 +7,7 @@ sin(theta) e2]. Projection onto it is one closed-form orthogonal Procrustes
 R. Starts are Gaussian samples projected onto the orbit; each ascent is
 deterministic, so a fixed seed reproduces the report bit for bit.
 
-The hot loops live in qbc._kernels and are numba-compiled unless
-QBC_DISABLE_NUMBA is set.
+The ascent itself lives in qbc._kernels, as plain Python on float tuples.
 """
 
 import math
@@ -142,12 +141,7 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
             f"gradient norms in [{float(np.min(gnorms))}, {float(np.max(gnorms))}] "
             f"against tol * sin^2(theta) = {config.tol * math.sin(theta) ** 2}"
         )
-    best_k = -1
-    best_lam = -np.inf
-    for k in range(config.n_starts):
-        if conv[k] and lams[k] > best_lam:
-            best_lam = lams[k]
-            best_k = k
+    best_k = int(np.argmax(np.where(conv, lams, -np.inf)))  # first of any ties
     best_params = _params_from_vector(points[best_k])
     distinct: list[tuple[np.ndarray, CloneParams]] = []
     for k in range(config.n_starts):

@@ -6,6 +6,7 @@ are pure functions of their arguments, so fixed flags give fixed bytes.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,10 +69,7 @@ def report_clone(theta: float, phi: float, seed: int) -> dict:
         {
             "theta": theta,
             "phi": phi,
-            "params": {
-                "a0": params.a0, "b0": params.b0, "c0": params.c0, "d0": params.d0,
-                "a1": params.a1, "b1": params.b1, "c1": params.c1, "d1": params.d1,
-            },
+            "params": asdict(params),
             "sigma0": sigma0,
             "sigma1": sigma1,
             "marginals": {"rho0": rho0, "rho1": rho1},
@@ -86,7 +84,6 @@ def report_clone(theta: float, phi: float, seed: int) -> dict:
 def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
     report = maximize_lambda(theta, OptimizerConfig(n_starts=n_starts, seed=seed))
     reference = math.sin(theta) ** 2
-    best = report.best_params
     return jsonable(
         {
             "theta": theta,
@@ -97,10 +94,7 @@ def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
             "starts_converged": report.starts_converged,
             "residual_max": report.residual_max,
             "distinct_optima": len(report.distinct_optima),
-            "best_params": {
-                "a0": best.a0, "b0": best.b0, "c0": best.c0, "d0": best.d0,
-                "a1": best.a1, "b1": best.b1, "c1": best.c1, "d1": best.d1,
-            },
+            "best_params": asdict(report.best_params),
             "n_starts": n_starts,
             "seed": seed,
         }

@@ -35,7 +35,13 @@ from .discrimination import (
     helstrom,
     pure_pair_error,
 )
-from .optimizer import OptimizerConfig, maximize_lambda, random_feasible_params
+from .optimizer import (
+    OptimizerConfig,
+    _nearest_rotations,
+    _params_from_vector,
+    maximize_lambda,
+    random_feasible_params,
+)
 
 
 @dataclass
@@ -63,8 +69,7 @@ class _Check:
 
     def add(self, deviation: float, context: str) -> None:
         self.count += 1
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
+        self.max_deviation = max(self.max_deviation, deviation)
         if deviation > self.tolerance and self.first_failure is None:
             self.first_failure = f"{context}: deviation {deviation:.6e} > tolerance {self.tolerance:.1e}"
 
@@ -177,13 +182,11 @@ def _suite_discrimination(seed: int, corrupt: bool) -> list[CheckResult]:
 
 
 def _theta_phi_grid(n_theta: int, n_phi: int) -> list[tuple[float, float]]:
-    grid = []
-    for i in range(n_theta):
-        theta = (math.pi / 2) * i / (n_theta - 1)
-        for j in range(n_phi):
-            phi = 2 * math.pi * j / n_phi
-            grid.append((theta, phi))
-    return grid
+    return [
+        ((math.pi / 2) * i / (n_theta - 1), 2 * math.pi * j / n_phi)
+        for i in range(n_theta)
+        for j in range(n_phi)
+    ]
 
 
 def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
@@ -259,20 +262,11 @@ def _suite_optimizer(seed: int, corrupt: bool) -> list[CheckResult]:
     det = _Check("optimizer", "same_seed_determinism", 0.0, corrupt)
     for theta in (0.3, 1.1):
         cfg = OptimizerConfig(n_starts=8, seed=seed)
-        a = maximize_lambda(theta, cfg)
-        b = maximize_lambda(theta, cfg)
-        identical = (
-            a.best_params == b.best_params
-            and a.lambda_max == b.lambda_max
-            and a.starts_converged == b.starts_converged
-            and a.residual_max == b.residual_max
-            and a.distinct_optima == b.distinct_optima
-        )
-        det.add(0.0 if identical else 1.0, f"theta={theta}")
+        # dataclass equality: every report field, the optima included
+        same = maximize_lambda(theta, cfg) == maximize_lambda(theta, cfg)
+        det.add(0.0 if same else 1.0, f"theta={theta}")
 
     feas = _Check("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL, corrupt)
-    from .optimizer import _nearest_rotations, _params_from_vector
-
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
         raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
         points, lams, gnorms, iters, conv = run_starts(
@@ -351,24 +345,22 @@ def _json_deviation(a, b) -> float:
 
 
 def _suite_cli(seed: int, corrupt: bool) -> list[CheckResult]:
-    built = {
-        "discriminate": reports.report_discriminate(0.7, seed),
-        "clone": reports.report_clone(0.9, 1.3, seed),
-        "rates": reports.report_rates(0.6, 0.2, seed),
-        "sweep": {"records": reports.sweep_records(0.0, math.pi / 2, 5, 0.4, 0.1, seed)},
-    }
+    def build() -> dict:
+        return {
+            "discriminate": reports.report_discriminate(0.7, seed),
+            "clone": reports.report_clone(0.9, 1.3, seed),
+            "rates": reports.report_rates(0.6, 0.2, seed),
+            "sweep": {"records": reports.sweep_records(0.0, math.pi / 2, 5, 0.4, 0.1, seed)},
+        }
+
+    built = build()
     rt = _Check("cli", "json_roundtrip", 1e-15, corrupt)
     for name, rep in built.items():
         parsed = json.loads(json.dumps(rep))
         rt.add(_json_deviation(rep, parsed), f"report {name}")
 
     rep_bytes = _Check("cli", "repeat_invocation_bytes", 0.0, corrupt)
-    again = {
-        "discriminate": reports.report_discriminate(0.7, seed),
-        "clone": reports.report_clone(0.9, 1.3, seed),
-        "rates": reports.report_rates(0.6, 0.2, seed),
-        "sweep": {"records": reports.sweep_records(0.0, math.pi / 2, 5, 0.4, 0.1, seed)},
-    }
+    again = build()
     for name in built:
         same = json.dumps(built[name]) == json.dumps(again[name])
         rep_bytes.add(0.0 if same else 1.0, f"report {name}")

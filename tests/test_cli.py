@@ -8,6 +8,9 @@ import sys
 
 import pytest
 
+from qbc import reports
+from qbc.cli import main
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PI_2 = "1.5707963267948966"
 
@@ -23,6 +26,10 @@ def run_qbc(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def refuse_huge_run(*args, **kwargs):
+    raise AssertionError("the count cap must stop this call before it runs")
 
 
 class TestDiscriminate:
@@ -97,14 +104,11 @@ class TestOptimize:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_fallback_path_agrees_bitwise(self):
-        compiled = run_qbc("optimize", "--theta", "0.8", "--n-starts", "8", "--seed", "5")
-        fallback = run_qbc(
-            "optimize", "--theta", "0.8", "--n-starts", "8", "--seed", "5",
-            env_extra={"QBC_DISABLE_NUMBA": "1"},
-        )
-        assert compiled.returncode == fallback.returncode == 0
-        assert compiled.stdout == fallback.stdout
+    def test_n_starts_cap(self, monkeypatch, capsys):
+        # in-process, with the report stubbed out: a missing cap fails fast
+        monkeypatch.setattr(reports, "report_optimize", refuse_huge_run)
+        assert main(["optimize", "--theta", "0.5", "--n-starts", "1000001"]) == 2
+        assert capsys.readouterr().err == "qbc optimize: --n-starts must be at most 1000000, got 1000001\n"
 
 
 class TestRates:
@@ -178,6 +182,11 @@ class TestSweep:
         assert run_qbc("sweep", "--theta-grid", "1:0:5").returncode == 2
         assert run_qbc("sweep", "--theta-grid", "0:1").returncode == 2
 
+    def test_steps_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(reports, "sweep_records", refuse_huge_run)
+        assert main(["sweep", "--theta-grid", "0:1:1000001"]) == 2
+        assert capsys.readouterr().err == "qbc sweep: STEPS must be at most 1000000, got 1000001\n"
+
 
 class TestVerifyHook:
     def test_corrupted_tolerance_fails(self):
@@ -187,6 +196,26 @@ class TestVerifyHook:
 
     def test_unknown_command_usage_error(self):
         assert run_qbc("frobnicate").returncode == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args, prefix",
+        [
+            (("optimize", "--theta", "0.5", "--n-starts", "1.5"), "qbc optimize: "),
+            (("discriminate",), "qbc discriminate: "),
+            (("rates", "--theta", "0.4", "--epsilon", "x"), "qbc rates: "),
+            (("clone", "--theta", "0.4", "--theta-deg", "3"), "qbc clone: "),
+            (("frobnicate",), "qbc: "),
+            ((), "qbc: "),
+        ],
+    )
+    def test_one_line_on_stderr(self, args, prefix):
+        out = run_qbc(*args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith(prefix)
+        assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
 
 
 class TestJsonRoundTrip:

@@ -194,6 +194,14 @@ class TestLambdaObjective:
         assert unsquared == pytest.approx(-1.0, abs=1e-12)
         assert lambda_objective(p) == pytest.approx(1.0, abs=1e-12)
 
+    def test_relative_accuracy_bound(self):
+        """|lambda / sin^2 - 1| <= 2^-49 / sin(theta) on the optimal family."""
+        for theta in np.geomspace(1e-8, math.pi / 2, 200):
+            s = math.sin(theta)
+            for k in range(12):
+                lam = lambda_objective(optimal_params(float(theta), 2 * math.pi * k / 12))
+                assert abs(lam / (s * s) - 1.0) <= 2.0**-49 / s, (theta, k)
+
 
 class TestConstraintResiduals:
     def test_all_zero_params(self):

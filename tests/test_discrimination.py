@@ -188,3 +188,20 @@ class TestBinaryPOVMValidation:
                 pi0=np.diag([2.0, 0.0]).astype(complex),
                 pi1=np.diag([-1.0, 1.0]).astype(complex),
             )
+
+    def test_rejects_nan(self):
+        # every comparison with NaN is false, so range checks alone pass it
+        with pytest.raises(ValueError, match="finite"):
+            BinaryPOVM(
+                pi0=np.array([[math.nan, 0.0], [0.0, 0.0]], dtype=complex),
+                pi1=np.diag([0.0, 1.0]).astype(complex),
+            )
+
+    def test_caller_arrays_stay_writable(self):
+        pi0 = np.diag([1.0, 0.0]).astype(complex)
+        pi1 = np.diag([0.0, 1.0]).astype(complex)
+        povm = BinaryPOVM(pi0=pi0, pi1=pi1)
+        assert pi0.flags.writeable and pi1.flags.writeable
+        assert not povm.pi0.flags.writeable and not povm.pi1.flags.writeable
+        pi0[0, 0] = 0.0
+        assert povm.pi0[0, 0] == 1.0

@@ -6,9 +6,23 @@ import numpy as np
 import pytest
 
 from qbc import hilbert
-from qbc._kernels import jacobi_eigh
+from qbc import tolerances as tol
 
 LN2 = math.log(2.0)
+
+
+def assert_phase_convention(vecs):
+    """Each eigenvector's largest-magnitude component is real and positive.
+
+    vecs holds eigenvectors as columns, optionally stacked: shape (..., n, n).
+    The phase fix rounds the magnitudes, so among near-tied largest
+    components one must be real and positive.
+    """
+    mags = np.abs(vecs)
+    lead = mags >= mags.max(axis=-2, keepdims=True) * (1.0 - 1e-15)
+    real_positive = (vecs.real > 0.0) & (np.abs(vecs.imag) <= 1e-15 * vecs.real)
+    assert np.all(np.any(lead & real_positive, axis=-2))
+
 
 # independently evaluated closed-form marginal at theta=pi/3, phi=pi/5
 RHO0_PI3_PI5 = np.array(
@@ -183,13 +197,26 @@ class TestHermitianEig:
         a, b = hilbert.hermitian_eig(m), hilbert.hermitian_eig(m)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert_phase_convention(a.eigenvectors)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hilbert.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
-    def test_dim2_path_equals_jacobi_kernel(self):
-        """The closed-form dim-2 rotation gives the cyclic kernel's values."""
+    def test_rejects_non_finite(self):
+        for dim in (2, 4):
+            for bad in (math.nan, math.inf, -math.inf):
+                diag = np.eye(dim, dtype=complex)
+                diag[1, 1] = bad
+                pair = np.eye(dim, dtype=complex)
+                pair[0, 1] = pair[1, 0] = bad
+                for m in (diag, pair):
+                    with np.errstate(invalid="ignore"):
+                        with pytest.raises(ValueError, match="must be finite"):
+                            hilbert.hermitian_eig(m)
+
+    def test_dim2_closed_form_against_eigvalsh(self):
+        """The closed-form dim-2 rotation on edge-case and random inputs."""
         rng = np.random.default_rng(24)
         big = 8e307 + 8e307j  # |big| is finite, its square is not
         inputs = [
@@ -203,16 +230,18 @@ class TestHermitianEig:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             m = (g + g.conj().T) / 2
             inputs += [m, m.real, np.diag(np.diag(m)), m * 1e300, m * 1e-300, m * 1e-14]
-        for m in inputs:
-            for sign in (1.0, -1.0):
-                m2 = np.asarray(sign * m, dtype=complex)
-                dec = hilbert.hermitian_eig(m2)
-                sym = np.ascontiguousarray((m2 + m2.conj().T) / 2.0)
-                with np.errstate(over="ignore", invalid="ignore"):  # huge entries
-                    evals, evecs = jacobi_eigh(sym)
-                # float64 views: -0.0 == 0.0, so only values are compared
-                assert np.array_equal(dec.eigenvalues, evals)
-                assert np.array_equal(dec.eigenvectors.view(np.float64), evecs.view(np.float64))
+        ms = np.array([sign * m for m in inputs for sign in (1.0, -1.0)], dtype=complex)
+        decs = [hilbert.hermitian_eig(m) for m in ms]
+        evals = np.array([dec.eigenvalues for dec in decs])
+        vecs = np.array([dec.eigenvectors for dec in decs])
+        assert np.all(evals[:, 0] <= evals[:, 1])
+        # the rotation is skipped below an absolute off-diagonal floor
+        floor = 1e-14 * np.max(np.abs(ms), axis=(1, 2)) + tol.JACOBI_OFFDIAG_TOL
+        ref = np.linalg.eigvalsh(ms)
+        assert np.all(np.abs(evals - ref) <= 1e-14 * np.abs(ref) + floor[:, None])
+        rebuilt = (vecs * evals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        assert np.all(np.max(np.abs(rebuilt - ms), axis=(1, 2)) <= floor)
+        assert_phase_convention(vecs)
 
 
 class TestEntropy:

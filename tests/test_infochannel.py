@@ -290,3 +290,15 @@ class TestChannelValidation:
     def test_joint_distribution_requires_unit_mass(self):
         with pytest.raises(ValueError):
             JointDistribution(vars=("A", "B"), table=np.full((2, 2), 0.3))
+
+    def test_joint_distribution_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(vars=("A", "B"), table=np.array([[math.nan, 0.5], [0.25, 0.25]]))
+
+    def test_joint_distribution_caller_table_stays_writable(self):
+        table = np.array([[0.25, 0.5], [0.125, 0.125]])
+        joint = JointDistribution(vars=("A", "B"), table=table)
+        assert table.flags.writeable
+        assert not joint.table.flags.writeable
+        table[0, 0] = 0.0
+        assert joint.table[0, 0] == 0.25

@@ -60,19 +60,20 @@ class TestGradient:
         h = 1e-5
         for _ in range(100):
             theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi / 2)))
-            psi = rng.standard_normal(3)
-            v = rotate(np.array([1.0, 0.0, 0.0]), psi)
-            b = rotate(np.array([0.0, 1.0, 0.0]), psi)
-            d = -2.0 * math.sin(theta / 2) ** 2 * v + math.sin(theta) * b
+            psi = tuple(rng.standard_normal(3).tolist())
+            v = rotate((1.0, 0.0, 0.0), psi)
+            b = rotate((0.0, 1.0, 0.0), psi)
+            c1, c2 = -2.0 * math.sin(theta / 2) ** 2, math.sin(theta)
+            d = tuple(c1 * vi + c2 * bi for vi, bi in zip(v, b))
             # the cancellation-free objective against the coefficient form
-            w = v + d
+            w = [vi + di for vi, di in zip(v, d)]
             xy = XYParams(x0=v[0], y0=v[1], b0=v[2] / math.sqrt(2), x1=w[0], y1=w[1], b1=w[2] / math.sqrt(2))
             assert clone_lambda(v, d) == pytest.approx(lambda_objective(from_xy(xy)), rel=1e-8)
-            omega = rotation_grad(v, d)
+            omega = np.array(rotation_grad(v, d))
             s2 = math.sin(theta) ** 2
             for w in [*np.eye(3), omega / np.linalg.norm(omega)]:
-                up = clone_lambda(rotate(v, h * w), rotate(d, h * w))
-                dn = clone_lambda(rotate(v, -h * w), rotate(d, -h * w))
+                up = clone_lambda(rotate(v, tuple(h * w)), rotate(d, tuple(h * w)))
+                dn = clone_lambda(rotate(v, tuple(-h * w)), rotate(d, tuple(-h * w)))
                 fd = (up - dn) / (2 * h)
                 assert np.dot(omega, w) == pytest.approx(fd, abs=1e-8 * s2)
 
