@@ -5,11 +5,17 @@ returned read-only so values can be shared freely across threads. Basis
 convention: index 0 is the reference basis state |0>, index 1 its
 orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
 
-The eigensolver is deterministic. At dim 2 it is one closed-form Jacobi
-rotation (the symmetric Schur decomposition) in straight-line scalar code;
-at dim 4 it is LAPACK's Hermitian solver through numpy.linalg.eigh. At both
-dims each eigenvector's largest-magnitude component is made real and
-positive, so identical inputs give identical outputs bit for bit.
+The eigensolver is deterministic. At dim 2 it runs on Python scalars from
+end to end: one tolist() of the input, then the finite and hermiticity
+checks, the symmetrization and one closed-form Jacobi rotation (the
+symmetric Schur decomposition), with numpy arrays built only for the
+result. The rotation is skipped only when the off-diagonal magnitude is at
+most 2^-53 times the gap between the diagonal entries, where it would move
+the eigenvalues by at most 2^-106 times that gap, so a matrix of any scale
+keeps its relative accuracy. At dim 4 the solver is LAPACK's Hermitian eigh
+through numpy. At both dims each eigenvector's largest-magnitude component
+is made real and positive, so identical inputs give identical outputs bit
+for bit.
 """
 
 import math
@@ -20,6 +26,7 @@ import numpy as np
 from . import tolerances as tol
 
 _DIMS = (2, 4)
+_HALF_ULP = 2.0**-53
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -71,7 +78,10 @@ def require_normalized(a: np.ndarray, tolerance: float = tol.EQUALITY_TOL) -> No
 def require_hermitian(m: np.ndarray, tolerance: float = tol.VALIDATION_TOL) -> None:
     # a NaN or infinite entry makes dev NaN, or infinite when it meets a
     # finite partner, so this one reduction also rejects non-finite input
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    _check_hermitian_deviation(float(np.max(np.abs(m - m.conj().T))), tolerance)
+
+
+def _check_hermitian_deviation(dev: float, tolerance: float) -> None:
     if math.isnan(dev):
         raise ValueError("matrix entries must be finite")
     if dev > tolerance:
@@ -127,12 +137,19 @@ def partial_trace(state: np.ndarray, subsystem: str) -> np.ndarray:
     if subsystem not in ("first", "second"):
         raise ValueError(f'subsystem must be "first" or "second", got {subsystem!r}')
     if state.shape == (4,):
-        m = np.outer(state, state.conj())
-    elif state.shape == (4, 4):
-        m = state
-    else:
+        # the reduced matrix is X X^H, where row i of X holds the components
+        # whose kept index is i: X[i][k] = s[2k+i] or s[2i+k]
+        s0, s1, s2, s3 = state.tolist()
+        (u0, u1), (v0, v1) = ((s0, s2), (s1, s3)) if subsystem == "first" else ((s0, s1), (s2, s3))
+        uc0, uc1, vc0, vc1 = u0.conjugate(), u1.conjugate(), v0.conjugate(), v1.conjugate()
+        out = np.array(
+            [[u0 * uc0 + u1 * uc1, u0 * vc0 + u1 * vc1], [v0 * uc0 + v1 * uc1, v0 * vc0 + v1 * vc1]],
+            dtype=state.dtype,
+        )
+        return _readonly(out)
+    if state.shape != (4, 4):
         raise ValueError(f"partial_trace expects a dim-4 ket or 4x4 operator, got {state.shape}")
-    t = m.reshape(2, 2, 2, 2)
+    t = state.reshape(2, 2, 2, 2)
     if subsystem == "first":
         out = np.einsum("kikj->ij", t)
     else:
@@ -152,34 +169,49 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Spectral decomposition of a Hermitian operator (dim 2 or 4).
 
     The input may deviate from exact hermiticity by up to 1e-9; it is
-    symmetrized before the solve. Non-finite entries raise ValueError.
-    Output is deterministic.
+    symmetrized as m/2 + m^H/2 before the solve. Non-finite entries raise
+    ValueError. Output is deterministic.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
         raise ValueError(f"hermitian_eig expects a square dim-2 or dim-4 matrix, got {m.shape}")
-    require_hermitian(m)
-    sym = np.ascontiguousarray((m + m.conj().T) / 2.0, dtype=np.complex128)
-    evals, evecs = _eigh2(sym) if sym.shape[0] == 2 else _eigh4(sym)
+    if m.shape[0] == 4:
+        require_hermitian(m)
+        # halving each term first cannot overflow, and is exact for normal floats
+        sym = np.asarray(0.5 * m + 0.5 * m.conj().T, dtype=np.complex128)
+        evals, evecs = _eigh4(sym)
+        return EigDecomposition(_readonly(evals), _readonly(evecs))
+    (m00, m01), (m10, m11) = m.tolist()
+    # require_hermitian's max |m - m^H| on scalars: entry (1, 0) mirrors
+    # (0, 1). math.hypot returns inf where complex abs raises OverflowError.
+    devs = [
+        math.hypot(d.real, d.imag)
+        for d in (m00 - m00.conjugate(), m01 - m10.conjugate(), m11 - m11.conjugate())
+    ]
+    # numpy's max propagates NaN; a sum of magnitudes is NaN exactly when one is
+    _check_hermitian_deviation(math.nan if math.isnan(sum(devs)) else max(devs), tol.VALIDATION_TOL)
+    evals, evecs = _eigh2(
+        (0.5 * m00 + 0.5 * m00.conjugate()).real,
+        0.5 * m01 + 0.5 * m10.conjugate(),
+        (0.5 * m11 + 0.5 * m11.conjugate()).real,
+    )
     return EigDecomposition(_readonly(evals), _readonly(evecs))
 
 
-def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a 2x2 Hermitian matrix as one closed-form rotation.
+def _eigh2(app: float, apq: complex, aqq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the 2x2 Hermitian matrix [[app, apq], [conj(apq), aqq]].
 
-    One Jacobi rotation zeroes the only off-diagonal pair (skipped when it
-    is already below JACOBI_OFFDIAG_TOL), then come a stable ascending sort
-    and the phase fix, all on Python scalars.
+    One Jacobi rotation zeroes the off-diagonal pair, then come a stable
+    ascending sort and the phase fix, all on Python scalars. The rotation
+    is skipped only when r = |apq| <= 2^-53 |aqq - app|: it would then
+    shift each eigenvalue by about r^2 / |aqq - app| <= 2^-106 |aqq - app|,
+    far below the rounding of the larger diagonal entry.
     """
-    (a00, a01), (_, a11) = sym.tolist()
-    app, aqq = a00.real, a11.real
-    # a finite symmetrized entry has parts below half the float maximum, so
-    # this cannot raise the OverflowError of Python's complex abs
-    r = abs(a01)
-    if math.sqrt(2.0 * (r * r)) < tol.JACOBI_OFFDIAG_TOL:
+    r = math.hypot(apq.real, apq.imag)
+    if r <= _HALF_ULP * abs(aqq - app):
         evals = [app, aqq]
         cols = [[1.0 + 0j, 0j], [0j, 1.0 + 0j]]
     else:
-        w = complex(a01.real / r, a01.imag / r)
+        w = complex(apq.real / r, apq.imag / r)
         tau = (aqq - app) / (2.0 * r)
         if tau >= 0.0:
             t = 1.0 / (tau + math.sqrt(tau * tau + 1.0))
@@ -197,20 +229,14 @@ def _eigh2(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals.reverse()
         cols.reverse()
     vecs = []
-    for col in cols:
+    for z0, z1 in cols:
         # largest-magnitude component made real and positive; a tie keeps index 0
-        best, best_mag = 0, -1.0
-        for i, z in enumerate(col):
-            mag = abs(z)
-            if mag > best_mag:
-                best, best_mag = i, mag
-        lead = col[best]
-        phase = complex(lead.real / best_mag, -lead.imag / best_mag)
-        vecs.append([z * phase for z in col])
-    return (
-        np.array(evals, dtype=np.float64),
-        np.array([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]], dtype=np.complex128),
-    )
+        lead = z1 if abs(z1) > abs(z0) else z0
+        mag = abs(lead)
+        phase = complex(lead.real / mag, -lead.imag / mag)
+        vecs.append((z0 * phase, z1 * phase))
+    (u0, u1), (v0, v1) = vecs
+    return np.array(evals, dtype=np.float64), np.array([[u0, v0], [u1, v1]], dtype=np.complex128)
 
 
 def _eigh4(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ import numpy as np
 from . import tolerances as tol
 from .cloner import clone_state, marginal_closed_form, optimal_params
 from .discrimination import BinaryPOVM
-from .hilbert import tensor_op
 
 LN2 = math.log(2.0)
 
@@ -104,11 +103,13 @@ def induced_channel(theta: float, phi: float, povm: BinaryPOVM) -> BinaryChannel
     """Channel p(y|x) = tr(rho_x Pi_y) seen by a user measuring a clone."""
     if povm.pi0.shape != (2, 2):
         raise ValueError("POVM must act on dimension 2")
-    rhos = marginal_closed_form(theta, phi)
-    p = np.empty((2, 2))
-    for x, rho in enumerate(rhos):
-        for y, pi in enumerate((povm.pi0, povm.pi1)):
-            p[y, x] = max(0.0, float(np.trace(rho @ pi).real))
+    elems = (povm.pi0.tolist(), povm.pi1.tolist())
+    p = [[0.0, 0.0], [0.0, 0.0]]
+    for x, rho in enumerate(marginal_closed_form(theta, phi)):
+        (r00, r01), (r10, r11) = rho.tolist()
+        for y, ((q00, q01), (q10, q11)) in enumerate(elems):
+            # tr(rho pi) = (rho pi)_00 + (rho pi)_11
+            p[y][x] = max(0.0, ((r00 * q00 + r01 * q10) + (r10 * q01 + r11 * q11)).real)
     return BinaryChannel(p)
 
 
@@ -122,16 +123,24 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
     if povm.pi0.shape != (2, 2):
         raise ValueError("POVM must act on dimension 2")
     params = optimal_params(theta, phi)
-    elems = (povm.pi0, povm.pi1)
-    out = np.empty((2, 2, 2))
+    elems = (povm.pi0.tolist(), povm.pi1.tolist())
+    out = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     for x in range(2):
-        sigma = clone_state(params, x)
-        for y in range(2):
-            for z in range(2):
-                val = np.vdot(sigma, tensor_op(elems[y], elems[z]) @ sigma)
-                out[y, z, x] = max(0.0, float(val.real))
-    out.setflags(write=False)
-    return out
+        # sigma's component 2j+k is s[j][k] (system j, clone k), so
+        # <sigma|A (x) B|sigma> = sum_ij A_ij C_ij with C = conj(s) B s^T
+        s0, s1, s2, s3 = clone_state(params, x).tolist()
+        s = ((s0, s1), (s2, s3))
+        sc = ((s0.conjugate(), s1.conjugate()), (s2.conjugate(), s3.conjugate()))
+        for z, ((b00, b01), (b10, b11)) in enumerate(elems):
+            # row i of conj(s) B, then its products with the rows of s
+            rows = [(u0 * b00 + u1 * b10, u0 * b01 + u1 * b11) for u0, u1 in sc]
+            c = [[w0 * v0 + w1 * v1 for v0, v1 in s] for w0, w1 in rows]
+            for y, ((a00, a01), (a10, a11)) in enumerate(elems):
+                val = (a00 * c[0][0] + a01 * c[0][1]) + (a10 * c[1][0] + a11 * c[1][1])
+                out[y][z][x] = max(0.0, val.real)
+    table = np.array(out)
+    table.setflags(write=False)
+    return table
 
 
 def check_degraded(p1: BinaryChannel, p2: BinaryChannel) -> float:
@@ -186,7 +195,7 @@ def marginal(joint: JointDistribution, keep: tuple[str, ...]) -> JointDistributi
     drop = tuple(i for i in range(len(joint.vars)) if i not in axes)
     summed = joint.table.sum(axis=drop) if drop else joint.table
     # summing keeps surviving axes in original order; permute to keep order
-    ranks = np.argsort(np.argsort(axes))
+    ranks = [sorted(axes).index(a) for a in axes]
     return JointDistribution(vars=keep, table=np.transpose(summed, ranks))
 
 

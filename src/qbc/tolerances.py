@@ -16,10 +16,6 @@ EIGENVALUE_FLOOR = -1e-10
 # Spectral decomposition: reconstruction and orthonormality checks.
 RECONSTRUCTION_TOL = 1e-10
 
-# 2x2 eigensolver: skip the Jacobi rotation when the off-diagonal Frobenius
-# norm is already below this.
-JACOBI_OFFDIAG_TOL = 1e-14
-
 # Constraint residual bound for cloning parameters labeled feasible.
 FEASIBILITY_TOL = 1e-9
 

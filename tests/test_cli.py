@@ -48,6 +48,13 @@ class TestDiscriminate:
         rep = json.loads(run_qbc("discriminate", "--theta", "0.5235987755982988").stdout)
         assert abs(rep["p_e"] - 0.25) < 1e-12
 
+    def test_tiny_theta_keeps_relative_accuracy(self):
+        # the eigenvalues are about +-1e-15: an absolute skip threshold in
+        # the 2x2 eigensolver would return p_e = 0.5 and -1e-30
+        rep = json.loads(run_qbc("discriminate", "--theta", "1e-15").stdout)
+        assert rep["p_e"] == rep["p_e_closed_form"] == 0.4999999999999995
+        assert rep["min_eigenvalue"] == pytest.approx(-1e-15, rel=1e-14)
+
     def test_theta_deg(self):
         rep = json.loads(run_qbc("discriminate", "--theta-deg", "30").stdout)
         assert abs(rep["p_e"] - 0.25) < 1e-12

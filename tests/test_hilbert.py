@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qbc import hilbert
-from qbc import tolerances as tol
 
 LN2 = math.log(2.0)
 
@@ -215,6 +214,24 @@ class TestHermitianEig:
                         with pytest.raises(ValueError, match="must be finite"):
                             hilbert.hermitian_eig(m)
 
+    def test_huge_entries_do_not_overflow(self):
+        # m/2 + m^H/2 stays finite where (m + m^H)/2 overflowed to inf
+        for dim in (2, 4):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[0, 0] = 1e308
+            want = [0.0] * (dim - 1) + [1e308]
+            assert hilbert.hermitian_eig(m).eigenvalues.tolist() == want
+
+    def test_huge_non_hermitian_raises_value_error(self):
+        # complex abs of a finite deviation can overflow with OverflowError
+        for m in (
+            np.array([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]]),
+            np.array([[0.0, 1.5e308], [-1.5e308, 0.0]], dtype=complex),
+            np.diag([1.5e308j, 0.0]),
+        ):
+            with pytest.raises(ValueError, match="not Hermitian: max deviation inf"):
+                hilbert.hermitian_eig(m)
+
     def test_dim2_closed_form_against_eigvalsh(self):
         """The closed-form dim-2 rotation on edge-case and random inputs."""
         rng = np.random.default_rng(24)
@@ -235,8 +252,9 @@ class TestHermitianEig:
         evals = np.array([dec.eigenvalues for dec in decs])
         vecs = np.array([dec.eigenvectors for dec in decs])
         assert np.all(evals[:, 0] <= evals[:, 1])
-        # the rotation is skipped below an absolute off-diagonal floor
-        floor = 1e-14 * np.max(np.abs(ms), axis=(1, 2)) + tol.JACOBI_OFFDIAG_TOL
+        # relative accuracy at every scale: the rotation is skipped only
+        # where it could not change the eigenvalues
+        floor = 1e-14 * np.max(np.abs(ms), axis=(1, 2))
         ref = np.linalg.eigvalsh(ms)
         assert np.all(np.abs(evals - ref) <= 1e-14 * np.abs(ref) + floor[:, None])
         rebuilt = (vecs * evals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
