@@ -9,8 +9,11 @@ and never leaves the set. The ascent holds v = u0 and d = u1 - u0 as
 """
 
 import math
+import sys
 
 import numpy as np
+
+from . import tolerances as tol
 
 
 def clone_lambda(v, d):
@@ -80,35 +83,41 @@ def rotate(x, phi):
     )
 
 
-def ascend(rot, theta, step_init, grad_tol, max_iters):
+def ascend(rot, theta):
     """Riemannian gradient ascent over the rotation R from one start.
 
     The feasible point of R is u0 = v, u1 = v + d with v = R e1 and
     d = R (-2 sin^2(theta/2), sin(theta), 0). A step is
     R -> exp([t omega / sin^2(theta)]x) R; t starts from a warm ladder
-    (doubled after each accepted step) and is halved until the Armijo test
-    passes. The objective and its curvature both scale with sin^2(theta),
-    so t and the certificate are free of theta.
+    (doubled after each accepted step, from OPTIMIZER_STEP_INIT) and is
+    halved until the Armijo test passes. The objective and its curvature
+    both scale with sin^2(theta), so t and the certificate are free of theta.
 
     Returns (point, objective, |omega|, iterations, converged), point being
-    the 6-tuple (u0, u1). Converged means |omega| <= grad_tol * sin^2(theta);
-    at theta = 0 the objective is identically zero and every start converges
-    at once.
+    the 6-tuple (u0, u1). Converged means |omega| <= OPTIMIZER_GRAD_TOL *
+    sin^2(theta), within OPTIMIZER_MAX_ITERS steps. When sin^2(theta) is zero
+    or subnormal the objective carries no relative information, so the start
+    counts as converged at once, as at theta = 0 where it is identically zero.
     """
     c2 = math.sin(theta)
     h = math.sin(0.5 * theta)
     c1 = -2.0 * (h * h)
     s2 = c2 * c2
+    degenerate = s2 < sys.float_info.min
+    grad_tol = tol.OPTIMIZER_GRAD_TOL
+    max_iters = tol.OPTIMIZER_MAX_ITERS
     (r00, r01, _), (r10, r11, _), (r20, r21, _) = rot.tolist()
     v = (r00, r10, r20)
     d = (c1 * r00 + c2 * r01, c1 * r10 + c2 * r11, c1 * r20 + c2 * r21)
     lam = clone_lambda(v, d)
-    step_try = step_init
+    step_try = tol.OPTIMIZER_STEP_INIT
     it = 0
     while True:
         o0, o1, o2 = rotation_grad(v, d)
-        gnorm = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
-        if gnorm <= grad_tol * s2 or s2 == 0.0 or it == max_iters:
+        # hypot, and gnorm * (gnorm / s2) below: |omega| ~ sin^2(theta), and
+        # its square underflows once theta is below about 1e-77
+        gnorm = math.hypot(o0, o1, o2)
+        if degenerate or gnorm <= grad_tol * s2 or it == max_iters:
             break
         step = step_try
         while step > 1e-12:
@@ -117,7 +126,7 @@ def ascend(rot, theta, step_init, grad_tol, max_iters):
             v_c = rotate(v, phi)
             d_c = rotate(d, phi)
             lam_c = clone_lambda(v_c, d_c)
-            if lam_c > lam + 1e-4 * step * gnorm * gnorm / s2:
+            if lam_c > lam + 1e-4 * step * gnorm * (gnorm / s2):
                 v, d, lam = v_c, d_c, lam_c
                 break
             step *= 0.5
@@ -127,15 +136,15 @@ def ascend(rot, theta, step_init, grad_tol, max_iters):
         step_try = 2.0 * step
         it += 1
     point = v + tuple(vi + di for vi, di in zip(v, d))
-    return point, lam, gnorm, it, gnorm <= grad_tol * s2
+    return point, lam, gnorm, it, degenerate or gnorm <= grad_tol * s2
 
 
-def run_starts(starts, theta, step_init, grad_tol, max_iters):
+def run_starts(starts, theta):
     """Ascend from every start rotation. Serial, order-independent per start.
 
     Returns ndarrays: points (n, 6), objectives, |omega|, int64 iterations
     and bool convergence flags.
     """
-    columns = zip(*(ascend(rot, theta, step_init, grad_tol, max_iters) for rot in starts))
+    columns = zip(*(ascend(rot, theta) for rot in starts))
     dtypes = (np.float64, np.float64, np.float64, np.int64, np.bool_)
     return tuple(np.array(col, dtype=t) for col, t in zip(columns, dtypes))

@@ -10,7 +10,6 @@ as one line ``qbc <cmd>: <message>``.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import reports, verify
@@ -165,8 +164,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    corrupt = os.environ.get("QBC_VERIFY_CORRUPT", "0").strip().lower() in ("1", "true", "yes")
-    results = verify.run_all(seed=args.seed, corrupt=corrupt)
+    results = verify.run_all(seed=args.seed)
     text, code = verify.format_report(results, args.seed)
     sys.stdout.write(text)
     return code

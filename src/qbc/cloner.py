@@ -132,7 +132,7 @@ def clone_state(params: CloneParams, which: int) -> np.ndarray:
 
 def marginals(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced states of a two-qubit ket: (trace out blank, trace out system)."""
-    hilbert.require_normalized(sigma, tolerance=tol.VALIDATION_TOL)
+    hilbert.require_normalized(sigma)
     return hilbert.partial_trace(sigma, "second"), hilbert.partial_trace(sigma, "first")
 
 

@@ -3,11 +3,15 @@
 The optimal two-outcome measurement splits the spectral projectors of
 rho0 - rho1 by eigenvalue sign; its error is 1/2 (1 + sum of negative
 eigenvalues). Zero eigenvalues are assigned to the first outcome, which
-fixes a deterministic measurement without changing the error.
+fixes a deterministic measurement without changing the error. The split into
+projectors and the POVM's sum-to-identity check run on Python scalars, one
+routine for dims 2 and 4; each POVM element is then checked through
+hilbert.hermitian_eig.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -37,18 +41,12 @@ class BinaryPOVM:
         pi0, pi1 = np.array(self.pi0), np.array(self.pi1)
         if pi0.shape != pi1.shape:
             raise ValueError("POVM elements must share a dimension")
-        if pi0.shape == (2, 2):
-            (a00, a01), (a10, a11) = pi0.tolist()
-            (b00, b01), (b10, b11) = pi1.tolist()
-            devs = [
-                math.hypot(d.real, d.imag)
-                for d in (a00 + b00 - 1.0, a01 + b01, a10 + b10, a11 + b11 - 1.0)
-            ]
-            # numpy's max propagates NaN, which never exceeds the tolerance:
-            # a NaN entry is left for hermitian_eig to reject as non-finite
-            dev = math.nan if math.isnan(sum(devs)) else max(devs)
-        else:
-            dev = float(np.max(np.abs(pi0 + pi1 - np.eye(pi0.shape[0]))))
+        sums = [a + b for a, b in zip(pi0.ravel().tolist(), pi1.ravel().tolist())]
+        for k in range(0, pi0.size, pi0.shape[0] + 1):
+            sums[k] -= 1.0
+        # a NaN deviation never exceeds the tolerance: a NaN entry is left
+        # for hermitian_eig to reject as non-finite
+        dev = hilbert._max_abs(sums)
         if dev > tol.EQUALITY_TOL:
             raise ValueError(f"POVM elements do not sum to identity: deviation {dev:.3e}")
         for elem in (pi0, pi1):
@@ -87,15 +85,7 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
     dec = hilbert.hermitian_eig(diff)
     evals = dec.eigenvalues.tolist()
     dim = len(evals)
-    if dim == 2:
-        pi0, pi1 = _sign_split2(evals, dec.eigenvectors.tolist())
-    else:
-        pi1 = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(dim):
-            if evals[k] < 0.0:
-                v = dec.eigenvectors[:, k]
-                pi1 += np.outer(v, v.conj())
-        pi0 = np.eye(dim, dtype=np.complex128) - pi1
+    pi0, pi1 = _sign_split(evals, dec.eigenvectors.tolist())
     # sum each sign class in ascending-magnitude order: the two orderings
     # mirror exactly under a swap of the inputs
     neg = 0.0
@@ -110,28 +100,25 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
     return DiscriminationResult(povm=BinaryPOVM(pi0=pi0, pi1=pi1), error_prob=error)
 
 
-def _sign_split2(evals: list, vecs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Pi0 = I - Pi1 and Pi1, the projector onto the negative eigenspace, at dim 2.
+def _sign_split(evals: list, vecs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Pi0 = I - Pi1 and Pi1, the projector onto the negative eigenspace.
 
-    Pi1 sums v v^H onto zeros and Pi0 takes 1 - x and 0 - x entry by entry,
-    as the numpy path's zeros and identity do, so neither element holds a
-    -0.0 that the printed POVM would show.
+    Pi1 sums v v^H onto zeros entry by entry, so it is exactly Hermitian, and
+    Pi0 takes 0 - x, plus 1 on the diagonal, so neither element holds a -0.0
+    that the printed POVM would show. Component i of eigenvector k is vecs[i][k].
     """
-    (v00, v01), (v10, v11) = vecs  # component i of eigenvector k is vecs[i][k]
-    p00 = p01 = p10 = p11 = 0j
-    for k, (x, y) in enumerate(((v00, v10), (v01, v11))):
-        if evals[k] < 0.0:
-            xc, yc = x.conjugate(), y.conjugate()
-            p00, p01, p10, p11 = p00 + x * xc, p01 + x * yc, p10 + y * xc, p11 + y * yc
-    pi1 = np.array([[p00, p01], [p10, p11]], dtype=np.complex128)
-    pi0 = np.array(
-        [
-            [complex(1.0 - p00.real, 0.0 - p00.imag), complex(0.0 - p01.real, 0.0 - p01.imag)],
-            [complex(0.0 - p10.real, 0.0 - p10.imag), complex(1.0 - p11.real, 0.0 - p11.imag)],
-        ],
-        dtype=np.complex128,
+    n = len(evals)
+    pi1 = [0j] * (n * n)  # row-major, as are the pairs of product(v, v)
+    for lam, v in zip(evals, zip(*vecs)):
+        if lam < 0.0:
+            pi1 = [p + x * y.conjugate() for p, (x, y) in zip(pi1, product(v, v))]
+    pi0 = [complex(0.0 - z.real, 0.0 - z.imag) for z in pi1]
+    for k in range(0, n * n, n + 1):
+        pi0[k] += 1.0
+    return (
+        np.array(pi0, dtype=np.complex128).reshape(n, n),
+        np.array(pi1, dtype=np.complex128).reshape(n, n),
     )
-    return pi0, pi1
 
 
 def pure_pair_kets(theta: float) -> tuple[np.ndarray, np.ndarray]:

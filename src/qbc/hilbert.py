@@ -5,17 +5,17 @@ returned read-only so values can be shared freely across threads. Basis
 convention: index 0 is the reference basis state |0>, index 1 its
 orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
 
-The eigensolver is deterministic. At dim 2 it runs on Python scalars from
-end to end: one tolist() of the input, then the finite and hermiticity
-checks, the symmetrization and one closed-form Jacobi rotation (the
-symmetric Schur decomposition), with numpy arrays built only for the
-result. The rotation is skipped only when the off-diagonal magnitude is at
-most 2^-53 times the gap between the diagonal entries, where it would move
-the eigenvalues by at most 2^-106 times that gap, so a matrix of any scale
-keeps its relative accuracy. At dim 4 the solver is LAPACK's Hermitian eigh
-through numpy. At both dims each eigenvector's largest-magnitude component
-is made real and positive, so identical inputs give identical outputs bit
-for bit.
+Validation runs on Python scalars at both dims: one tolist() of the input,
+then the finite and hermiticity checks on max |m - m^H|. The eigensolver is
+deterministic. At dim 2 it stays on those scalars for the symmetrization and
+one closed-form Jacobi rotation (the symmetric Schur decomposition), with
+numpy arrays built only for the result. The rotation is skipped only when
+the off-diagonal magnitude is at most 2^-53 times the gap between the
+diagonal entries, where it would move the eigenvalues by at most 2^-106
+times that gap, so a matrix of any scale keeps its relative accuracy. At
+dim 4 the solver is LAPACK's Hermitian eigh through numpy. At both dims
+each eigenvector's largest-magnitude component is made real and positive,
+so identical inputs give identical outputs bit for bit.
 """
 
 import math
@@ -26,6 +26,8 @@ import numpy as np
 from . import tolerances as tol
 
 _DIMS = (2, 4)
+# entry (j, i) of m - m^H mirrors (i, j), so checks visit the upper triangle
+_UPPER = {n: [(i, j) for i in range(n) for j in range(i, n)] for n in _DIMS}
 _HALF_ULP = 2.0**-53
 
 
@@ -69,23 +71,39 @@ def eye(dim: int) -> np.ndarray:
     return _readonly(np.eye(dim, dtype=np.complex128))
 
 
-def require_normalized(a: np.ndarray, tolerance: float = tol.EQUALITY_TOL) -> None:
+def require_normalized(a: np.ndarray) -> None:
     norm2 = float(np.vdot(a, a).real)
-    if abs(norm2 - 1.0) > tolerance:
+    if abs(norm2 - 1.0) > tol.VALIDATION_TOL:
         raise ValueError(f"ket is not normalized: |norm^2 - 1| = {abs(norm2 - 1.0):.3e}")
 
 
-def require_hermitian(m: np.ndarray, tolerance: float = tol.VALIDATION_TOL) -> None:
-    # a NaN or infinite entry makes dev NaN, or infinite when it meets a
-    # finite partner, so this one reduction also rejects non-finite input
-    _check_hermitian_deviation(float(np.max(np.abs(m - m.conj().T))), tolerance)
+def require_hermitian(m: np.ndarray) -> None:
+    if m.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"operator must be square with dim 2 or 4, got {m.shape}")
+    _check_hermitian(m.tolist())
 
 
-def _check_hermitian_deviation(dev: float, tolerance: float) -> None:
+def _check_hermitian(rows: list) -> None:
+    """Raise unless max |m - m^H| over the rows of m is within VALIDATION_TOL.
+
+    A NaN or infinite entry makes the deviation NaN, or infinite when it
+    meets a finite partner, so this one check also rejects non-finite input.
+    """
+    dev = _max_abs([rows[i][j] - rows[j][i].conjugate() for i, j in _UPPER[len(rows)]])
     if math.isnan(dev):
         raise ValueError("matrix entries must be finite")
-    if dev > tolerance:
+    if dev > tol.VALIDATION_TOL:
         raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
+
+
+def _max_abs(values) -> float:
+    """max |z| over Python complex numbers, NaN when any |z| is, as numpy's max.
+
+    math.hypot returns inf where complex abs raises OverflowError, and a sum
+    of magnitudes is NaN exactly when one of them is.
+    """
+    mags = [math.hypot(z.real, z.imag) for z in values]
+    return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
 def require_density_matrix(rho: np.ndarray) -> None:
@@ -174,26 +192,18 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
         raise ValueError(f"hermitian_eig expects a square dim-2 or dim-4 matrix, got {m.shape}")
-    if m.shape[0] == 4:
-        require_hermitian(m)
-        # halving each term first cannot overflow, and is exact for normal floats
-        sym = np.asarray(0.5 * m + 0.5 * m.conj().T, dtype=np.complex128)
-        evals, evecs = _eigh4(sym)
-        return EigDecomposition(_readonly(evals), _readonly(evecs))
-    (m00, m01), (m10, m11) = m.tolist()
-    # require_hermitian's max |m - m^H| on scalars: entry (1, 0) mirrors
-    # (0, 1). math.hypot returns inf where complex abs raises OverflowError.
-    devs = [
-        math.hypot(d.real, d.imag)
-        for d in (m00 - m00.conjugate(), m01 - m10.conjugate(), m11 - m11.conjugate())
-    ]
-    # numpy's max propagates NaN; a sum of magnitudes is NaN exactly when one is
-    _check_hermitian_deviation(math.nan if math.isnan(sum(devs)) else max(devs), tol.VALIDATION_TOL)
-    evals, evecs = _eigh2(
-        (0.5 * m00 + 0.5 * m00.conjugate()).real,
-        0.5 * m01 + 0.5 * m10.conjugate(),
-        (0.5 * m11 + 0.5 * m11.conjugate()).real,
-    )
+    rows = m.tolist()
+    _check_hermitian(rows)
+    # halving each term first cannot overflow, and is exact for normal floats
+    if len(rows) == 2:
+        (m00, m01), (m10, m11) = rows
+        evals, evecs = _eigh2(
+            (0.5 * m00 + 0.5 * m00.conjugate()).real,
+            0.5 * m01 + 0.5 * m10.conjugate(),
+            (0.5 * m11 + 0.5 * m11.conjugate()).real,
+        )
+    else:
+        evals, evecs = _eigh4(np.asarray(0.5 * m + 0.5 * m.conj().T, dtype=np.complex128))
     return EigDecomposition(_readonly(evals), _readonly(evecs))
 
 

@@ -9,6 +9,7 @@ contributes nothing" make the epsilon endpoints exact.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -201,15 +202,9 @@ def marginal(joint: JointDistribution, keep: tuple[str, ...]) -> JointDistributi
 
 def mutual_information(joint: JointDistribution, var_a: str, var_b: str) -> float:
     """I(A:B) in nats by direct summation."""
-    pab = marginal(joint, (var_a, var_b)).table
-    pa = pab.sum(axis=1)
-    pb = pab.sum(axis=0)
     info = 0.0
-    for i in range(2):
-        for j in range(2):
-            p = pab[i, j]
-            if p > 0.0:
-                info += p * math.log(p / (pa[i] * pb[j]))
+    for term in _info_terms(marginal(joint, (var_a, var_b)).table, 1.0):
+        info += term
     return info
 
 
@@ -220,17 +215,30 @@ def conditional_mutual_information(
     pabc = marginal(joint, (var_a, var_b, var_cond)).table
     info = 0.0
     for c in range(2):
-        pc = pabc[:, :, c].sum()
-        if pc <= 0.0:
-            continue
-        pac = pabc[:, :, c].sum(axis=1)
-        pbc = pabc[:, :, c].sum(axis=0)
-        for i in range(2):
-            for j in range(2):
-                p = pabc[i, j, c]
-                if p > 0.0:
-                    info += p * math.log(p * pc / (pac[i] * pbc[j]))
+        pc = float(pabc[:, :, c].sum())
+        if pc > 0.0:
+            for term in _info_terms(pabc[:, :, c], pc):
+                info += term
     return info
+
+
+def _info_terms(pab: np.ndarray, pc: float):
+    """The terms p ln(p pc / (pa pb)) over the positive entries p of a 2x2 table.
+
+    pa and pb are the table's row and column sums. The quotient keeps the
+    most accuracy, but a product of tiny probabilities can underflow, and
+    the quotient would then overflow or divide by zero; there the logs of
+    the factors are summed instead.
+    """
+    pa, pb = pab.sum(axis=1).tolist(), pab.sum(axis=0).tolist()
+    for i, row in enumerate(pab.tolist()):
+        for j, p in enumerate(row):
+            if p > 0.0:
+                num, den = p * pc, pa[i] * pb[j]
+                if num > 0.0 and den >= sys.float_info.min:
+                    yield p * math.log(num / den)
+                else:
+                    yield p * (math.log(p) + math.log(pc) - math.log(pa[i]) - math.log(pb[j]))
 
 
 def binary_convolution(a: float, b: float) -> float:

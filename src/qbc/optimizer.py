@@ -25,18 +25,11 @@ from .errors import OptimizationFailure, ProjectionError
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_starts: int = 32
-    max_iters: int = tol.OPTIMIZER_MAX_ITERS
-    step_init: float = tol.OPTIMIZER_STEP_INIT
-    tol: float = tol.OPTIMIZER_GRAD_TOL
     seed: int = 42
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if self.step_init <= 0.0 or self.tol <= 0.0:
-            raise ValueError("step_init and tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -129,17 +122,15 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
         config = OptimizerConfig()
     rng = np.random.default_rng(config.seed)
     starts = _nearest_rotations(rng.standard_normal((config.n_starts, 6)), theta)
-    points, lams, gnorms, iters, conv = run_starts(
-        starts, theta, config.step_init, config.tol, config.max_iters
-    )
+    points, lams, gnorms, iters, conv = run_starts(starts, theta)
     n_conv = int(np.count_nonzero(conv))
     if n_conv == 0:
         raise OptimizationFailure(
             "no start converged: "
-            f"theta={theta}, n_starts={config.n_starts}, max_iters={config.max_iters}, "
+            f"theta={theta}, n_starts={config.n_starts}, max_iters={tol.OPTIMIZER_MAX_ITERS}, "
             f"best objective={float(np.max(lams))}, "
             f"gradient norms in [{float(np.min(gnorms))}, {float(np.max(gnorms))}] "
-            f"against tol * sin^2(theta) = {config.tol * math.sin(theta) ** 2}"
+            f"against tol * sin^2(theta) = {tol.OPTIMIZER_GRAD_TOL * math.sin(theta) ** 2}"
         )
     best_k = int(np.argmax(np.where(conv, lams, -np.inf)))  # first of any ties
     best_params = _params_from_vector(points[best_k])

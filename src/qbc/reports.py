@@ -6,6 +6,7 @@ are pure functions of their arguments, so fixed flags give fixed bytes.
 """
 
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -90,7 +91,10 @@ def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
             "lambda_max": report.lambda_max,
             "reference": reference,
             "gap": abs(report.lambda_max - reference),
-            "relative_gap": abs(report.lambda_max / reference - 1.0) if reference else None,
+            # null where sin^2(theta) is zero or subnormal, as the ascent stops there
+            "relative_gap": (
+                abs(report.lambda_max / reference - 1.0) if reference >= sys.float_info.min else None
+            ),
             "starts_converged": report.starts_converged,
             "residual_max": report.residual_max,
             "distinct_optima": len(report.distinct_optima),

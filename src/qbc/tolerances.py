@@ -19,9 +19,10 @@ RECONSTRUCTION_TOL = 1e-10
 # Constraint residual bound for cloning parameters labeled feasible.
 FEASIBILITY_TOL = 1e-9
 
-# Optimizer defaults. The gradient tolerance is relative: a start converges
-# once |omega| <= OPTIMIZER_GRAD_TOL * sin^2(theta). The line search stops
-# seeing gains near 1e-8 of that scale, where the objective rounds.
+# Optimizer ascent: first trial step, relative gradient tolerance and
+# iteration cap. A start converges once |omega| <= OPTIMIZER_GRAD_TOL *
+# sin^2(theta). The line search stops seeing gains near 1e-8 of that scale,
+# where the objective rounds.
 OPTIMIZER_STEP_INIT = 0.1
 OPTIMIZER_GRAD_TOL = 1e-6
 OPTIMIZER_MAX_ITERS = 5000

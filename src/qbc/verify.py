@@ -1,13 +1,9 @@
 """Release-gate invariant suites behind ``qbc verify``.
 
 One suite per library module. Every check accumulates a deviation against
-its tolerance from the shared table and remembers the first failing case's
-inputs. Output is a deterministic function of the seed: two runs with the
-same seed print identical bytes.
-
-Test hook: ``corrupt=True`` (env QBC_VERIFY_CORRUPT=1 on the CLI) replaces
-every tolerance with -1 so each check must fail; used as a negative control
-on the gate itself.
+its tolerance from the shared table in a CheckResult and remembers the
+first failing case's inputs. Output is a deterministic function of the
+seed: two runs with the same seed print identical bytes.
 """
 
 import json
@@ -46,37 +42,24 @@ from .optimizer import (
 
 @dataclass
 class CheckResult:
+    """One check: its case count, largest deviation and first failing case."""
+
     suite: str
     name: str
-    count: int
-    max_deviation: float
     tolerance: float
-    first_failure: str | None
+    count: int = 0
+    max_deviation: float = 0.0
+    first_failure: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.first_failure is None
-
-
-class _Check:
-    def __init__(self, suite: str, name: str, tolerance: float, corrupt: bool):
-        self.suite = suite
-        self.name = name
-        self.tolerance = -1.0 if corrupt else tolerance
-        self.count = 0
-        self.max_deviation = 0.0
-        self.first_failure: str | None = None
 
     def add(self, deviation: float, context: str) -> None:
         self.count += 1
         self.max_deviation = max(self.max_deviation, deviation)
         if deviation > self.tolerance and self.first_failure is None:
             self.first_failure = f"{context}: deviation {deviation:.6e} > tolerance {self.tolerance:.1e}"
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            self.suite, self.name, self.count, self.max_deviation, self.tolerance, self.first_failure
-        )
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -95,9 +78,9 @@ def _random_pure(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _suite_hilbert(seed: int, corrupt: bool) -> list[CheckResult]:
+def _suite_hilbert(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 1])
-    prod = _Check("hilbert", "product_marginals", tol.RECONSTRUCTION_TOL, corrupt)
+    prod = CheckResult("hilbert", "product_marginals", tol.RECONSTRUCTION_TOL)
     for k in range(200):
         a, b = _random_pure(rng), _random_pure(rng)
         psi = hilbert.ket(np.kron(a, b))
@@ -107,7 +90,7 @@ def _suite_hilbert(seed: int, corrupt: bool) -> list[CheckResult]:
             dev = max(abs(evals[0]), hilbert.von_neumann_entropy(reduced))
             prod.add(dev, f"product ket {k}, trace {side}")
 
-    recon = _Check("hilbert", "eig_reconstruction", tol.RECONSTRUCTION_TOL, corrupt)
+    recon = CheckResult("hilbert", "eig_reconstruction", tol.RECONSTRUCTION_TOL)
     for k in range(1000):
         dim = 2 if k % 2 == 0 else 4
         m = _random_hermitian(rng, dim)
@@ -120,7 +103,7 @@ def _suite_hilbert(seed: int, corrupt: bool) -> list[CheckResult]:
         )
         recon.add(dev, f"random hermitian {k} (dim {dim})")
 
-    addi = _Check("hilbert", "entropy_additivity", 1e-9, corrupt)
+    addi = CheckResult("hilbert", "entropy_additivity", 1e-9)
     for k in range(100):
         r1, r2 = _random_density(rng, 2), _random_density(rng, 2)
         dev = abs(
@@ -130,7 +113,7 @@ def _suite_hilbert(seed: int, corrupt: bool) -> list[CheckResult]:
         )
         addi.add(dev, f"density pair {k}")
 
-    ptr = _Check("hilbert", "ptrace_preserves_trace", tol.EQUALITY_TOL, corrupt)
+    ptr = CheckResult("hilbert", "ptrace_preserves_trace", tol.EQUALITY_TOL)
     for k in range(200):
         m = _random_hermitian(rng, 4)
         full = np.trace(m).real
@@ -138,12 +121,12 @@ def _suite_hilbert(seed: int, corrupt: bool) -> list[CheckResult]:
             dev = abs(np.trace(hilbert.partial_trace(m, side)).real - full)
             ptr.add(dev, f"hermitian {k}, trace {side}")
 
-    return [c.result() for c in (prod, recon, addi, ptr)]
+    return [prod, recon, addi, ptr]
 
 
-def _suite_discrimination(seed: int, corrupt: bool) -> list[CheckResult]:
+def _suite_discrimination(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 2])
-    opt = _Check("discrimination", "helstrom_optimality", tol.EQUALITY_TOL, corrupt)
+    opt = CheckResult("discrimination", "helstrom_optimality", tol.EQUALITY_TOL)
     for k in range(1000):
         theta = rng.uniform(0.0, math.pi / 2)
         phi = rng.uniform(0.0, 2 * math.pi * (1 - 1e-12))
@@ -154,7 +137,7 @@ def _suite_discrimination(seed: int, corrupt: bool) -> list[CheckResult]:
         dev = helstrom(rho0, rho1).error_prob - error_of_povm(rho0, rho1, povm)
         opt.add(dev, f"case {k}: theta={theta}, phi={phi}")
 
-    dp = _Check("discrimination", "data_processing", tol.EQUALITY_TOL, corrupt)
+    dp = CheckResult("discrimination", "data_processing", tol.EQUALITY_TOL)
     for k in range(500):
         rho0, rho1 = _random_density(rng, 2), _random_density(rng, 2)
         v = _random_pure(rng)
@@ -166,19 +149,19 @@ def _suite_discrimination(seed: int, corrupt: bool) -> list[CheckResult]:
         dev = helstrom(rho0, rho1).error_prob - classical
         dp.add(dev, f"case {k}")
 
-    sym = _Check("discrimination", "swap_symmetry_exact", 0.0, corrupt)
+    sym = CheckResult("discrimination", "swap_symmetry_exact", 0.0)
     for k in range(500):
         rho0, rho1 = _random_density(rng, 2), _random_density(rng, 2)
         dev = abs(helstrom(rho0, rho1).error_prob - helstrom(rho1, rho0).error_prob)
         sym.add(dev, f"case {k}")
 
-    mono = _Check("discrimination", "pure_pair_error_decreasing", 0.0, corrupt)
+    mono = CheckResult("discrimination", "pure_pair_error_decreasing", 0.0)
     thetas = [((k + 1) / 1001) * (math.pi / 2) for k in range(1000)]
     errors = [pure_pair_error(t) for t in thetas]
     for k in range(len(errors) - 1):
         mono.add(errors[k + 1] - errors[k], f"grid step {k}")
 
-    return [c.result() for c in (opt, dp, sym, mono)]
+    return [opt, dp, sym, mono]
 
 
 def _theta_phi_grid(n_theta: int, n_phi: int) -> list[tuple[float, float]]:
@@ -189,9 +172,9 @@ def _theta_phi_grid(n_theta: int, n_phi: int) -> list[tuple[float, float]]:
     ]
 
 
-def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
+def _suite_cloner(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 3])
-    noerr = _Check("cloner", "no_extra_error", tol.EQUALITY_TOL, corrupt)
+    noerr = CheckResult("cloner", "no_extra_error", tol.EQUALITY_TOL)
     for theta, phi in _theta_phi_grid(10, 5):
         params = optimal_params(theta, phi)
         rho0 = marginals(clone_state(params, 0))[0]
@@ -199,7 +182,7 @@ def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
         dev = abs(helstrom(rho0, rho1).error_prob - pure_pair_error(theta))
         noerr.add(dev, f"theta={theta}, phi={phi}")
 
-    msym = _Check("cloner", "marginal_symmetry", tol.EQUALITY_TOL, corrupt)
+    msym = CheckResult("cloner", "marginal_symmetry", tol.EQUALITY_TOL)
     for k in range(200):
         theta = rng.uniform(0.0, math.pi / 2)
         params = random_feasible_params(theta, rng)
@@ -207,7 +190,7 @@ def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
             both = marginals(clone_state(params, which))
             msym.add(float(np.max(np.abs(both[0] - both[1]))), f"case {k}, clone {which}")
 
-    oracle = _Check("cloner", "lambda_eigenvalue_oracle", tol.RECONSTRUCTION_TOL, corrupt)
+    oracle = CheckResult("cloner", "lambda_eigenvalue_oracle", tol.RECONSTRUCTION_TOL)
     for k in range(1000):
         theta = rng.uniform(0.0, math.pi / 2)
         params = random_feasible_params(theta, rng)
@@ -217,14 +200,14 @@ def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
         dev = abs(lambda_objective(params) - lam_min**2)
         oracle.add(dev, f"case {k}: theta={theta}")
 
-    closed = _Check("cloner", "closed_form_marginals", tol.EQUALITY_TOL, corrupt)
+    closed = CheckResult("cloner", "closed_form_marginals", tol.EQUALITY_TOL)
     for theta, phi in _theta_phi_grid(20, 20):
         cf = marginal_closed_form(theta, phi)
         for which in (0, 1):
             got = marginals(clone_state(optimal_params(theta, phi), which))[0]
             closed.add(float(np.max(np.abs(got - cf[which]))), f"theta={theta}, phi={phi}, clone {which}")
 
-    phiinv = _Check("cloner", "phi_invariance", tol.EQUALITY_TOL, corrupt)
+    phiinv = CheckResult("cloner", "phi_invariance", tol.EQUALITY_TOL)
     phis = [2 * math.pi * j / 16 for j in range(16)]
     for i in range(10):
         theta = (math.pi / 2) * i / 9
@@ -235,54 +218,51 @@ def _suite_cloner(seed: int, corrupt: bool) -> list[CheckResult]:
         dev = max(max(ents) - min(ents), max(errs) - min(errs))
         phiinv.add(dev, f"theta={theta}")
 
-    spect = _Check("cloner", "marginal_spectrum", tol.EQUALITY_TOL, corrupt)
+    spect = CheckResult("cloner", "marginal_spectrum", tol.EQUALITY_TOL)
     for theta, phi in _theta_phi_grid(10, 10):
         want = np.array([0.5 * (1 - math.sin(theta)), 0.5 * (1 + math.sin(theta))])
         for rho in marginal_closed_form(theta, phi):
             evals = hilbert.hermitian_eig(rho).eigenvalues
             spect.add(float(np.max(np.abs(evals - want))), f"theta={theta}, phi={phi}")
 
-    return [c.result() for c in (noerr, msym, oracle, closed, phiinv, spect)]
+    return [noerr, msym, oracle, closed, phiinv, spect]
 
 
-def _suite_optimizer(seed: int, corrupt: bool) -> list[CheckResult]:
+def _suite_optimizer(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
-    grid = _Check("optimizer", "grid_optimum", 1e-6, corrupt)
+    grid = CheckResult("optimizer", "grid_optimum", 1e-6)
     for k in range(25):
         theta = (math.pi / 2) * k / 24
         report = maximize_lambda(theta, OptimizerConfig(n_starts=32, seed=seed + k))
         grid.add(abs(report.lambda_max - math.sin(theta) ** 2), f"theta={theta}")
 
-    upper = _Check("optimizer", "upper_bound", tol.FEASIBILITY_TOL, corrupt)
+    upper = CheckResult("optimizer", "upper_bound", tol.FEASIBILITY_TOL)
     for k in range(1000):
         theta = rng.uniform(0.0, math.pi / 2)
         params = random_feasible_params(theta, rng)
         upper.add(lambda_objective(params) - math.sin(theta) ** 2, f"case {k}: theta={theta}")
 
-    det = _Check("optimizer", "same_seed_determinism", 0.0, corrupt)
+    det = CheckResult("optimizer", "same_seed_determinism", 0.0)
     for theta in (0.3, 1.1):
         cfg = OptimizerConfig(n_starts=8, seed=seed)
         # dataclass equality: every report field, the optima included
         same = maximize_lambda(theta, cfg) == maximize_lambda(theta, cfg)
         det.add(0.0 if same else 1.0, f"theta={theta}")
 
-    feas = _Check("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL, corrupt)
+    feas = CheckResult("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL)
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
         raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
-        points, lams, gnorms, iters, conv = run_starts(
-            _nearest_rotations(raw, theta), theta, tol.OPTIMIZER_STEP_INIT,
-            tol.OPTIMIZER_GRAD_TOL, tol.OPTIMIZER_MAX_ITERS,
-        )
+        points, lams, gnorms, iters, conv = run_starts(_nearest_rotations(raw, theta), theta)
         for k in range(len(points)):
             if conv[k]:
                 res = constraint_residuals(_params_from_vector(points[k]), theta)
                 feas.add(float(np.max(np.abs(res))), f"theta={theta}, start {k}")
 
-    return [c.result() for c in (grid, upper, det, feas)]
+    return [grid, upper, det, feas]
 
 
-def _suite_infochannel(seed: int, corrupt: bool) -> list[CheckResult]:
-    oracle = _Check("infochannel", "rate_region_oracle", tol.EQUALITY_TOL, corrupt)
+def _suite_infochannel(seed: int) -> list[CheckResult]:
+    oracle = CheckResult("infochannel", "rate_region_oracle", tol.EQUALITY_TOL)
     for i in range(20):
         pe = 0.5 * i / 19
         for j in range(20):
@@ -292,14 +272,14 @@ def _suite_infochannel(seed: int, corrupt: bool) -> list[CheckResult]:
             dev = max(abs(closed.r1 - brute.r1), abs(closed.r2 - brute.r2))
             oracle.add(dev, f"pe={pe}, epsilon={eps}")
 
-    mono = _Check("infochannel", "tradeoff_monotonicity", 0.0, corrupt)
+    mono = CheckResult("infochannel", "tradeoff_monotonicity", 0.0)
     for pe in (0.1, 0.35):
         pts = [infochannel.rate_region_closed_form(pe, 0.5 * k / 499) for k in range(500)]
         for k in range(len(pts) - 1):
             dev = max(pts[k].r1 - pts[k + 1].r1, pts[k + 1].r2 - pts[k].r2)
             mono.add(dev, f"pe={pe}, step {k}")
 
-    ete = _Check("infochannel", "end_to_end_pe_dependence", tol.EQUALITY_TOL, corrupt)
+    ete = CheckResult("infochannel", "end_to_end_pe_dependence", tol.EQUALITY_TOL)
     for i in range(10):
         theta = (math.pi / 2) * i / 9
         phi = 2 * math.pi * i / 10
@@ -313,14 +293,14 @@ def _suite_infochannel(seed: int, corrupt: bool) -> list[CheckResult]:
             dev = max(abs(r1 - closed.r1), abs(r2 - closed.r2))
             ete.add(dev, f"theta={theta}, epsilon={eps}")
 
-    degr = _Check("infochannel", "degradedness", tol.EQUALITY_TOL, corrupt)
+    degr = CheckResult("infochannel", "degradedness", tol.EQUALITY_TOL)
     for i in range(10):
         theta = (math.pi / 2) * i / 9
         phi = 2 * math.pi * ((i + 3) % 10) / 10
         channel = infochannel.induced_channel(theta, phi, clone_povm_closed_form(phi))
         degr.add(infochannel.check_degraded(channel, channel), f"theta={theta}, phi={phi}")
 
-    chain = _Check("infochannel", "cascade_data_processing", tol.EQUALITY_TOL, corrupt)
+    chain = CheckResult("infochannel", "cascade_data_processing", tol.EQUALITY_TOL)
     for i in range(10):
         pe = 0.5 * i / 9
         for j in range(10):
@@ -331,7 +311,7 @@ def _suite_infochannel(seed: int, corrupt: bool) -> list[CheckResult]:
             )
             chain.add(dev, f"pe={pe}, epsilon={eps}")
 
-    return [c.result() for c in (oracle, mono, ete, degr, chain)]
+    return [oracle, mono, ete, degr, chain]
 
 
 def _json_deviation(a, b) -> float:
@@ -344,7 +324,7 @@ def _json_deviation(a, b) -> float:
     return 0.0 if a == b else 1.0
 
 
-def _suite_cli(seed: int, corrupt: bool) -> list[CheckResult]:
+def _suite_cli(seed: int) -> list[CheckResult]:
     def build() -> dict:
         return {
             "discriminate": reports.report_discriminate(0.7, seed),
@@ -354,18 +334,18 @@ def _suite_cli(seed: int, corrupt: bool) -> list[CheckResult]:
         }
 
     built = build()
-    rt = _Check("cli", "json_roundtrip", 1e-15, corrupt)
+    rt = CheckResult("cli", "json_roundtrip", 1e-15)
     for name, rep in built.items():
         parsed = json.loads(json.dumps(rep))
         rt.add(_json_deviation(rep, parsed), f"report {name}")
 
-    rep_bytes = _Check("cli", "repeat_invocation_bytes", 0.0, corrupt)
+    rep_bytes = CheckResult("cli", "repeat_invocation_bytes", 0.0)
     again = build()
     for name in built:
         same = json.dumps(built[name]) == json.dumps(again[name])
         rep_bytes.add(0.0 if same else 1.0, f"report {name}")
 
-    return [c.result() for c in (rt, rep_bytes)]
+    return [rt, rep_bytes]
 
 
 _SUITES = (
@@ -378,10 +358,10 @@ _SUITES = (
 )
 
 
-def run_all(seed: int = 42, corrupt: bool = False) -> list[CheckResult]:
+def run_all(seed: int = 42) -> list[CheckResult]:
     results: list[CheckResult] = []
     for suite in _SUITES:
-        results.extend(suite(seed, corrupt))
+        results.extend(suite(seed))
     return results
 
 

@@ -174,15 +174,16 @@ def test_criterion_06_optimizer_recovers_optimum():
 
 
 def test_criterion_06c_optimizer_relative_accuracy():
-    """Every start converges and the gap is relative, down to theta = 1e-6."""
+    """Every start converges and the gap is relative, down to theta = 1e-150."""
     t0 = time.perf_counter()
     dev = 0.0
-    for theta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, math.pi / 2 - 1e-9, math.pi / 2):
+    thetas = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-80, 1e-100, 1e-150, math.pi / 2 - 1e-9, math.pi / 2)
+    for theta in thetas:
         rep = maximize_lambda(theta, OptimizerConfig(seed=1))
         assert rep.starts_converged == 32, (theta, rep.starts_converged)
         dev = max(dev, abs(rep.lambda_max / math.sin(theta) ** 2 - 1.0))
     assert maximize_lambda(0.0, OptimizerConfig(seed=1)).lambda_max < 1e-9
-    report("6c optimizer relative gap (7 angles, 1e-6 to pi/2)", dev, 1e-9, time.perf_counter() - t0, 2.0)
+    report("6c optimizer relative gap (10 angles, 1e-150 to pi/2)", dev, 1e-9, time.perf_counter() - t0, 2.0)
 
 
 def test_criterion_07_rate_region():
@@ -237,7 +238,6 @@ def test_criterion_10_verify_is_deterministic():
     t0 = time.perf_counter()
     env = os.environ.copy()
     env.setdefault("PYTHONPATH", os.path.join(PKG_ROOT, "src"))
-    env.pop("QBC_VERIFY_CORRUPT", None)
     runs = [
         subprocess.run(
             [sys.executable, "-m", "qbc", "verify", "--seed", "42"],

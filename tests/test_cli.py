@@ -1,25 +1,28 @@
 """The qbc executable: outputs, formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbc import reports
+from qbc import cli, reports, verify
 from qbc.cli import main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PI_2 = "1.5707963267948966"
 
 
-def run_qbc(*args, env_extra=None):
+def run_qbc(*args):
     env = os.environ.copy()
     env.setdefault("PYTHONPATH", os.path.join(PKG_ROOT, "src"))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "qbc", *args],
         capture_output=True,
@@ -196,10 +199,20 @@ class TestSweep:
 
 
 class TestVerifyHook:
-    def test_corrupted_tolerance_fails(self):
-        out = run_qbc("verify", "--seed", "1", env_extra={"QBC_VERIFY_CORRUPT": "1"})
-        assert out.returncode == 1
-        assert "FAIL" in out.stdout
+    def test_corrupted_tolerance_fails(self, monkeypatch, capsys):
+        # negative control on the gate: with every tolerance at -1, every check must fail
+        add = verify.CheckResult.add
+
+        def add_with_negative_tolerance(check, deviation, context):
+            check.tolerance = -1.0
+            add(check, deviation, context)
+
+        monkeypatch.setattr(verify.CheckResult, "add", add_with_negative_tolerance)
+        assert main(["verify", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        statuses = [line.split()[-1] for line in lines if line.split()[-1:] in (["PASS"], ["FAIL"])]
+        assert f"0/6 suites passed ({len(statuses)} checks)" in lines
+        assert statuses and set(statuses) == {"FAIL"}
 
     def test_unknown_command_usage_error(self):
         assert run_qbc("frobnicate").returncode == 2
@@ -231,3 +244,90 @@ class TestJsonRoundTrip:
         rep = json.loads(out.stdout)
         redumped = json.loads(json.dumps(rep))
         assert redumped == rep
+
+
+# --- fuzz: every bad value of every numeric flag is one usage-error line ---
+
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SMALL_COUNT = 16
+
+
+def outside(lo, hi, hi_open=False):
+    """Floats, NaN and +-inf among them, that fail lo <= x <= hi (or x < hi)."""
+    inside = (lambda x: lo <= x < hi) if hi_open else (lambda x: lo <= x <= hi)
+    return st.floats().filter(lambda x: not inside(x)).map(repr)
+
+
+# counts either small or above the cap: a larger valid count would run for real
+COUNTS = st.integers(max_value=1) | st.integers(min_value=cli.MAX_COUNT + 1)
+GARBAGE = st.sampled_from(("", " ", "nan", "-inf", "1,5", "0x1p-2", "pi", "--seed", "-x"))
+NOT_AN_INT = GARBAGE | st.sampled_from(("1.5", "1e3", "inf"))
+BAD_GRID = st.one_of(
+    st.sampled_from(("", "0:1", "0:1:3:4", "a:1:3", "0:1:3.5", ":1:3", "0::3", "0:1:")),
+    st.tuples(st.floats(), st.floats(), COUNTS | st.integers(2, SMALL_COUNT))
+    .filter(lambda g: not (0.0 <= g[0] < g[1] <= math.pi / 2 and 2 <= g[2] <= SMALL_COUNT))
+    .map(lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}"),
+)
+BAD_VALUES = {
+    "--theta": outside(0.0, math.pi / 2) | GARBAGE,
+    "--theta-deg": st.floats().filter(lambda x: not 0.0 <= math.radians(x) <= math.pi / 2).map(repr) | GARBAGE,
+    "--phi": outside(0.0, 2.0 * math.pi, hi_open=True) | GARBAGE,
+    "--epsilon": outside(0.0, 0.5) | GARBAGE,
+    "--n-starts": COUNTS.filter(lambda n: n < 1 or n > cli.MAX_COUNT).map(str) | NOT_AN_INT,
+    "--seed": NOT_AN_INT,
+    "--theta-grid": BAD_GRID | GARBAGE,
+}
+# a valid command line per subcommand, and the flags whose values are fuzzed
+BASE_ARGV = {
+    "discriminate": (["--theta", "0.5"], ["--theta", "--theta-deg", "--seed"]),
+    "clone": (["--theta", "0.5", "--phi", "1.0"], ["--theta", "--theta-deg", "--phi", "--seed"]),
+    "optimize": (["--theta", "0.5", "--n-starts", "2"], ["--theta", "--theta-deg", "--n-starts", "--seed"]),
+    "rates": (["--theta", "0.5", "--epsilon", "0.1"], ["--theta", "--theta-deg", "--epsilon", "--seed"]),
+    "sweep": (["--theta-grid", "0:1:3"], ["--theta-grid", "--phi", "--epsilon", "--seed"]),
+    "verify": ([], ["--seed"]),
+}
+
+
+@st.composite
+def bad_argv(draw):
+    command = draw(st.sampled_from(sorted(BASE_ARGV)))
+    base, flags = BASE_ARGV[command]
+    flag = draw(st.sampled_from(flags))
+    args = list(base)
+    if flag == "--theta-deg":
+        args[args.index("--theta")] = flag
+    if flag not in args:
+        args += [flag, ""]
+    args[args.index(flag) + 1] = draw(BAD_VALUES[flag])
+    return [command, *args]
+
+
+def small_counts_only(fn, index):
+    """fn, refusing any count above SMALL_COUNT in its positional argument index."""
+
+    def guarded(*args):
+        assert args[index] <= SMALL_COUNT, "a count above the cap reached the report"
+        return fn(*args)
+
+    return guarded
+
+
+@FUZZ_SETTINGS
+@given(bad_argv())
+def test_fuzzed_flags_give_one_line_usage_errors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(reports, "report_optimize", small_counts_only(reports.report_optimize, 1)),
+        mock.patch.object(reports, "sweep_records", small_counts_only(reports.sweep_records, 2)),
+        mock.patch.object(verify, "run_all", refuse_huge_run),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2, (argv, code, err.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"qbc {argv[0]}: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

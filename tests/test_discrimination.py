@@ -119,6 +119,16 @@ class TestHelstrom:
             error_of_povm(rho0, rho1, result.povm), abs=1e-12
         )
 
+    def test_dim4_povm_is_exactly_hermitian(self):
+        # a complex ket's projector from np.outer is not exactly Hermitian
+        # where numpy's complex multiply uses fused multiply-adds
+        k = hilbert.ket(np.array([0.6 + 0.1j, 0.3 - 0.734j]) / math.hypot(0.6, 0.1, 0.3, 0.734))
+        e0 = hilbert.basis(2, 0)
+        rho0 = hilbert.outer(hilbert.tensor(k, hilbert.ket([0.8, 0.6j])))
+        rho1 = hilbert.outer(hilbert.tensor(e0, k))
+        for pi in (helstrom(rho0, rho1).povm.pi1, helstrom(rho1, rho0).povm.pi0):
+            assert np.array_equal(pi, pi.conj().T)
+
 
 class TestPurePairError:
     def test_endpoints(self):

@@ -210,9 +210,8 @@ class TestHermitianEig:
                 pair = np.eye(dim, dtype=complex)
                 pair[0, 1] = pair[1, 0] = bad
                 for m in (diag, pair):
-                    with np.errstate(invalid="ignore"):
-                        with pytest.raises(ValueError, match="must be finite"):
-                            hilbert.hermitian_eig(m)
+                    with pytest.raises(ValueError, match="must be finite"):
+                        hilbert.hermitian_eig(m)
 
     def test_huge_entries_do_not_overflow(self):
         # m/2 + m^H/2 stays finite where (m + m^H)/2 overflowed to inf
@@ -223,14 +222,21 @@ class TestHermitianEig:
             assert hilbert.hermitian_eig(m).eigenvalues.tolist() == want
 
     def test_huge_non_hermitian_raises_value_error(self):
-        # complex abs of a finite deviation can overflow with OverflowError
-        for m in (
+        # complex abs of a finite deviation can overflow with OverflowError,
+        # and numpy's m - m^H warns on overflow; neither may replace the ValueError
+        cases = [
             np.array([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]]),
             np.array([[0.0, 1.5e308], [-1.5e308, 0.0]], dtype=complex),
             np.diag([1.5e308j, 0.0]),
-        ):
-            with pytest.raises(ValueError, match="not Hermitian: max deviation inf"):
-                hilbert.hermitian_eig(m)
+        ]
+        for big in (1.5e308, math.inf):
+            m = np.zeros((4, 4), dtype=complex)
+            m[0, 1], m[1, 0] = big, -big
+            cases.append(m)
+        for m in cases:
+            for check in (hilbert.require_hermitian, hilbert.hermitian_eig):
+                with pytest.raises(ValueError, match="not Hermitian: max deviation inf"):
+                    check(m)
 
     def test_dim2_closed_form_against_eigvalsh(self):
         """The closed-form dim-2 rotation on edge-case and random inputs."""

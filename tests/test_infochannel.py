@@ -182,6 +182,14 @@ class TestInformationFunctionals:
         joint = JointDistribution(vars=("A", "B"), table=t)
         assert mutual_information(joint, "A", "B") == pytest.approx(LN2, abs=1e-15)
 
+    def test_tiny_corner_keeps_relative_accuracy(self):
+        # pa * pb = 1e-400 underflows to 0; the quotient must not divide by it
+        t = np.array([[1e-200, 0.0], [0.0, 1.0]])
+        joint = JointDistribution(vars=("A", "B"), table=t)
+        assert mutual_information(joint, "A", "B") == pytest.approx(200 * math.log(10) * 1e-200, rel=1e-12)
+        rates = rate_region_oracle(0.0, 3e-224)  # its conditional sums hit the same underflow
+        assert rates.r1 == pytest.approx(rate_region_closed_form(0.0, 3e-224).r1, rel=1e-12)
+
     def test_symmetric_in_arguments(self):
         joint = cascade_joint(0.1, 0.3)
         assert mutual_information(joint, "S", "Z") == pytest.approx(

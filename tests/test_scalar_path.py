@@ -1,7 +1,7 @@
-"""Property tests of the dim-2 scalar path of hermitian_eig and helstrom.
+"""Property tests of the scalar paths of hermitian_eig and helstrom.
 
-Inputs are 2x2 complex matrices with parts from 1e-300 to 1e301, zeros,
-NaN and +-inf, Hermitian or perturbed around the 1e-9 hermiticity
+Inputs are 2x2 and 4x4 complex matrices with parts from 1e-300 to 1e301,
+zeros, NaN and +-inf, Hermitian or perturbed around the 1e-9 hermiticity
 tolerance.
 """
 
@@ -28,16 +28,20 @@ def parts(draw, low=-300, high=300, finite=False):
 
 
 @st.composite
-def near_hermitian_2x2(draw, valid=False):
+def near_hermitian(draw, dim=2, valid=False):
     """A Hermitian matrix, with one entry nudged near the 1e-9 tolerance or replaced.
 
     valid=True keeps the parts finite and the nudges at most 1e-9, and
     replaces no entry, so that most draws pass validation.
     """
     part = parts(finite=valid)
-    b = complex(draw(part), draw(part))
-    m = np.array([[draw(part), b], [b.conjugate(), draw(part)]], dtype=complex)
-    i, j = draw(st.sampled_from(((0, 0), (0, 1), (1, 0), (1, 1))))
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        m[i, i] = draw(part)
+        for j in range(i + 1, dim):
+            m[i, j] = complex(draw(part), draw(part))
+            m[j, i] = m[i, j].conjugate()
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
     kind = draw(st.sampled_from(("hermitian", "nudged") if valid else ("hermitian", "nudged", "replaced")))
     if kind == "nudged":
         nudge = parts(-13, -10, finite=True) if valid else parts(-12, -7)
@@ -59,11 +63,22 @@ def outcome(fn, m):
         return str(exc)
 
 
-@PROPERTY_SETTINGS
-@given(near_hermitian_2x2())
-def test_accepts_what_require_hermitian_accepts(m):
+def numpy_outcome(m):
+    """The hermiticity check's required outcome, from numpy's max |m - m^H|."""
     with np.errstate(all="ignore"):  # numpy warns on inf - inf and overflow
-        want = outcome(hilbert.require_hermitian, m)
+        dev = float(np.max(np.abs(m - m.conj().T)))
+    if math.isnan(dev):
+        return "matrix entries must be finite"
+    if dev > 1e-9:
+        return f"operator is not Hermitian: max deviation {dev:.3e}"
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from((2, 4)).flatmap(near_hermitian))
+def test_accepts_what_require_hermitian_accepts(m):
+    want = numpy_outcome(m)
+    assert outcome(hilbert.require_hermitian, m) == want
     got = outcome(hilbert.hermitian_eig, m)
     if want is None:
         assert isinstance(got, hilbert.EigDecomposition)
@@ -72,12 +87,11 @@ def test_accepts_what_require_hermitian_accepts(m):
 
 
 def accepted(m) -> bool:
-    with np.errstate(all="ignore"):
-        return outcome(hilbert.require_hermitian, m) is None
+    return numpy_outcome(m) is None
 
 
 @PROPERTY_SETTINGS
-@given(near_hermitian_2x2(valid=True))
+@given(near_hermitian(valid=True))
 def test_equals_eigh2_of_numpy_symmetrization(m):
     if not accepted(m):
         return
@@ -89,7 +103,7 @@ def test_equals_eigh2_of_numpy_symmetrization(m):
 
 
 @PROPERTY_SETTINGS
-@given(near_hermitian_2x2(valid=True))
+@given(near_hermitian(valid=True))
 def test_eigenvalues_agree_with_eigvalsh(m):
     if not accepted(m):
         return
@@ -99,7 +113,7 @@ def test_eigenvalues_agree_with_eigvalsh(m):
 
 
 @PROPERTY_SETTINGS
-@given(near_hermitian_2x2(valid=True), near_hermitian_2x2(valid=True))
+@given(near_hermitian(valid=True), near_hermitian(valid=True))
 def test_helstrom_is_swap_symmetric(rho0, rho1):
     if not accepted(rho0 - rho1):
         return
