@@ -12,22 +12,20 @@ Library layout:
 
 from .cloner import (
     CloneParams,
-    XYParams,
     clone_entanglement,
     clone_state,
     constraint_residuals,
-    from_xy,
     lambda_objective,
     marginal_closed_form,
     marginals,
     optimal_params,
-    to_xy,
     unitary_completion,
     ancilla_row,
 )
 from .discrimination import (
     BinaryPOVM,
     DiscriminationResult,
+    binary_entropy,
     clone_povm_closed_form,
     error_of_povm,
     helstrom,
@@ -58,7 +56,6 @@ from .infochannel import (
     JointDistribution,
     RatePoint,
     binary_convolution,
-    binary_entropy,
     bsc,
     cascade_joint,
     cascade_joint_channels,

@@ -1,7 +1,8 @@
 """The optimizer's gradient ascent over SO(3), on Python float tuples.
 
 An optimizer point u = (u0, u1) holds the two rows of the cloning map in
-sphere coordinates (x_i, y_i, sqrt(2)*b_i). The isometry constraints
+sphere coordinates (x_i, y_i, sqrt(2)*b_i), which qbc.optimizer alone
+defines (_orbit_vector and _clone_params). The isometry constraints
 |u0| = |u1| = 1, dot(u0, u1) = cos(theta) define one SO(3) orbit,
 {R [e1, cos(theta) e1 + sin(theta) e2]}, so the ascent moves a rotation R
 and never leaves the set. The ascent holds v = u0 and d = u1 - u0 as

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hilbert
 from . import tolerances as tol
-from .discrimination import check_phi, check_theta, pure_pair_error
+from .discrimination import binary_entropy, check_phi, check_theta, pure_pair_error
 from .errors import InfeasibleParamsError, SingularExpansionError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -57,40 +57,6 @@ class CloneParams:
         if which == 1:
             return np.array([self.a1, self.b1, self.c1, self.d1])
         raise ValueError(f"row index must be 0 or 1, got {which}")
-
-
-@dataclass(frozen=True)
-class XYParams:
-    """Sphere coordinates x = (a+d)/sqrt2, y = (a-d)/sqrt2 per row."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    b0: float
-    b1: float
-
-
-def to_xy(params: CloneParams) -> XYParams:
-    return XYParams(
-        x0=(params.a0 + params.d0) * _SQRT1_2,
-        y0=(params.a0 - params.d0) * _SQRT1_2,
-        x1=(params.a1 + params.d1) * _SQRT1_2,
-        y1=(params.a1 - params.d1) * _SQRT1_2,
-        b0=params.b0,
-        b1=params.b1,
-    )
-
-
-def from_xy(xy: XYParams) -> CloneParams:
-    return CloneParams.symmetric(
-        a0=(xy.x0 + xy.y0) * _SQRT1_2,
-        b0=xy.b0,
-        d0=(xy.x0 - xy.y0) * _SQRT1_2,
-        a1=(xy.x1 + xy.y1) * _SQRT1_2,
-        b1=xy.b1,
-        d1=(xy.x1 - xy.y1) * _SQRT1_2,
-    )
 
 
 def optimal_params(theta: float, phi: float) -> CloneParams:
@@ -224,9 +190,4 @@ def clone_entanglement(theta: float, phi: float) -> float:
     """Entropy (nats) of either clone marginal; equals h of the pure-pair error."""
     check_theta(theta)
     check_phi(phi)
-    pe = pure_pair_error(theta)
-    s = 0.0
-    for p in (pe, 1.0 - pe):
-        if p > 0.0:
-            s -= p * math.log(p)
-    return s
+    return binary_entropy(pure_pair_error(theta))

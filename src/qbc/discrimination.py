@@ -135,6 +135,17 @@ def pure_pair_error(theta: float) -> float:
     return 0.5 * (1.0 - math.sin(theta))
 
 
+def binary_entropy(x: float) -> float:
+    """Shannon entropy (nats) of a bit with probability x."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"argument must lie in [0, 1], got {x}")
+    s = 0.0
+    for p in (x, 1.0 - x):
+        if p > 0.0:
+            s -= p * math.log(p)
+    return s
+
+
 def clone_povm_closed_form(phi: float) -> BinaryPOVM:
     """Optimal measurement for the clone marginals, in closed form.
 

@@ -10,7 +10,7 @@ class SingularExpansionError(ValueError):
 
 
 class ProjectionError(RuntimeError):
-    """Feasibility projection failed to converge or the input is outside its basin."""
+    """Feasibility projection has no nearest point: U P(theta)^T is zero."""
 
 
 class OptimizationFailure(RuntimeError):

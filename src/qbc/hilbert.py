@@ -67,10 +67,6 @@ def operator(entries) -> np.ndarray:
     return _readonly(m)
 
 
-def eye(dim: int) -> np.ndarray:
-    return _readonly(np.eye(dim, dtype=np.complex128))
-
-
 def require_normalized(a: np.ndarray) -> None:
     norm2 = float(np.vdot(a, a).real)
     if abs(norm2 - 1.0) > tol.VALIDATION_TOL:
@@ -106,16 +102,6 @@ def _max_abs(values) -> float:
     return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
-def require_density_matrix(rho: np.ndarray) -> None:
-    """Validate unit trace (1e-12), hermiticity and eigenvalues above the PSD floor."""
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol.EQUALITY_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
-    evals = hermitian_eig(rho).eigenvalues
-    if evals[0] < tol.EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix has eigenvalue {evals[0]:.3e} below floor")
-
-
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> with the conjugation on the first argument."""
     if a.shape != b.shape:
@@ -139,10 +125,17 @@ def tensor_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """|a><b| (|a><a| when b is omitted)."""
+    """|a><b| (|a><a| when b is omitted) of two kets of the same dimension.
+
+    Each entry is one Python complex product a_i * conj(b_j), so entries
+    (i, j) and (j, i) of |a><a| are exact conjugates and its diagonal is real.
+    """
     if b is None:
         b = a
-    return _readonly(np.outer(a, b.conj()))
+    if a.shape != b.shape or a.shape not in ((2,), (4,)):
+        raise ValueError(f"outer expects two kets of dim 2 or 4, got {a.shape} and {b.shape}")
+    bc = [y.conjugate() for y in b.tolist()]
+    return _readonly(np.array([[x * y for y in bc] for x in a.tolist()], dtype=np.complex128))
 
 
 def partial_trace(state: np.ndarray, subsystem: str) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .cloner import clone_state, marginal_closed_form, optimal_params
-from .discrimination import BinaryPOVM
+from .discrimination import BinaryPOVM, binary_entropy
 
 LN2 = math.log(2.0)
 
@@ -87,17 +87,6 @@ class JointDistribution:
 class RatePoint(NamedTuple):
     r1: float
     r2: float
-
-
-def binary_entropy(x: float) -> float:
-    """Shannon entropy (nats) of a bit with probability x."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {x}")
-    s = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            s -= p * math.log(p)
-    return s
 
 
 def induced_channel(theta: float, phi: float, povm: BinaryPOVM) -> BinaryChannel:

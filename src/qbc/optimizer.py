@@ -7,7 +7,10 @@ sin(theta) e2]. Projection onto it is one closed-form orthogonal Procrustes
 R. Starts are Gaussian samples projected onto the orbit; each ascent is
 deterministic, so a fixed seed reproduces the report bit for bit.
 
-The ascent itself lives in qbc._kernels, as plain Python on float tuples.
+The sphere coordinates are defined here alone: _orbit_vector and
+_clone_params convert between CloneParams and the orbit point u = (u0, u1),
+u_i = ((a_i + d_i)/sqrt2, (a_i - d_i)/sqrt2, sqrt2 b_i). The ascent itself
+lives in qbc._kernels, as plain Python on float tuples.
 """
 
 import math
@@ -17,9 +20,12 @@ import numpy as np
 
 from . import tolerances as tol
 from ._kernels import run_starts
-from .cloner import CloneParams, XYParams, constraint_residuals, from_xy, to_xy
+from .cloner import CloneParams, constraint_residuals
 from .discrimination import check_theta
 from .errors import OptimizationFailure, ProjectionError
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = 1.0 / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -49,18 +55,21 @@ class OptimizationReport:
     distinct_optima: tuple[CloneParams, ...]
 
 
-def _xy_vector(xy: XYParams) -> np.ndarray:
-    return np.array(
-        [xy.x0, xy.y0, math.sqrt(2.0) * xy.b0, xy.x1, xy.y1, math.sqrt(2.0) * xy.b1]
-    )
+def _orbit_vector(p: CloneParams) -> np.ndarray:
+    """The orbit point (u0, u1) of a parameter set, as one 6-vector."""
+    return np.array([
+        (p.a0 + p.d0) * _SQRT1_2, (p.a0 - p.d0) * _SQRT1_2, _SQRT2 * p.b0,
+        (p.a1 + p.d1) * _SQRT1_2, (p.a1 - p.d1) * _SQRT1_2, _SQRT2 * p.b1,
+    ])
 
 
-def _params_from_vector(u: np.ndarray) -> CloneParams:
-    xy = XYParams(
-        x0=u[0], y0=u[1], b0=u[2] / math.sqrt(2.0),
-        x1=u[3], y1=u[4], b1=u[5] / math.sqrt(2.0),
+def _clone_params(u) -> CloneParams:
+    """The parameter set of an orbit point u = (u0, u1), six floats."""
+    x0, y0, z0, x1, y1, z1 = u
+    return CloneParams.symmetric(
+        a0=(x0 + y0) * _SQRT1_2, b0=z0 / _SQRT2, d0=(x0 - y0) * _SQRT1_2,
+        a1=(x1 + y1) * _SQRT1_2, b1=z1 / _SQRT2, d1=(x1 - y1) * _SQRT1_2,
     )
-    return from_xy(xy)
 
 
 def _orbit_frame(theta: float) -> np.ndarray:
@@ -84,9 +93,19 @@ def _nearest_rotations(u: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
-    """The feasible point R P(theta) nearest to one sphere-coordinate vector."""
+    """The feasible point R P(theta) nearest to one orbit-coordinate vector."""
     point = _nearest_rotations(u, theta)[0] @ _orbit_frame(theta)
-    return _params_from_vector(point.T.reshape(6))
+    return _clone_params(point.T.reshape(6))
+
+
+def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
+    """Ascend from the rotation nearest to each row of raw, an (n, 6) array.
+
+    One tuple per start, in row order, of Python values: the orbit point
+    (six floats), the objective, |omega|, the iteration count and the
+    converged flag.
+    """
+    return list(zip(*(col.tolist() for col in run_starts(_nearest_rotations(raw, theta), theta))))
 
 
 def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
@@ -97,7 +116,7 @@ def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
     rows, or antiparallel rows at theta = 0).
     """
     check_theta(theta)
-    return _feasible_params(_xy_vector(to_xy(raw)), theta)
+    return _feasible_params(_orbit_vector(raw), theta)
 
 
 def random_feasible_params(theta: float, rng: np.random.Generator) -> CloneParams:
@@ -115,35 +134,35 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
 
     Aggregation is a max over converged starts with ties broken by start
     index, so any concurrent schedule of the independent starts would give
-    the same report.
+    the same report. Optima count as distinct when their orbit points differ
+    by more than 1e-6 in some coordinate.
     """
     check_theta(theta)
     if config is None:
         config = OptimizerConfig()
     rng = np.random.default_rng(config.seed)
-    starts = _nearest_rotations(rng.standard_normal((config.n_starts, 6)), theta)
-    points, lams, gnorms, iters, conv = run_starts(starts, theta)
-    n_conv = int(np.count_nonzero(conv))
-    if n_conv == 0:
+    starts = _ascents(theta, rng.standard_normal((config.n_starts, 6)))
+    converged = [(point, lam) for point, lam, _, _, conv in starts if conv]
+    if not converged:
+        lams = [s[1] for s in starts]
+        gnorms = [s[2] for s in starts]
         raise OptimizationFailure(
             "no start converged: "
             f"theta={theta}, n_starts={config.n_starts}, max_iters={tol.OPTIMIZER_MAX_ITERS}, "
-            f"best objective={float(np.max(lams))}, "
-            f"gradient norms in [{float(np.min(gnorms))}, {float(np.max(gnorms))}] "
+            f"best objective={max(lams)}, "
+            f"gradient norms in [{min(gnorms)}, {max(gnorms)}] "
             f"against tol * sin^2(theta) = {tol.OPTIMIZER_GRAD_TOL * math.sin(theta) ** 2}"
         )
-    best_k = int(np.argmax(np.where(conv, lams, -np.inf)))  # first of any ties
-    best_params = _params_from_vector(points[best_k])
-    distinct: list[tuple[np.ndarray, CloneParams]] = []
-    for k in range(config.n_starts):
-        if not conv[k]:
-            continue
-        if all(np.max(np.abs(points[k] - seen)) > 1e-6 for seen, _ in distinct):
-            distinct.append((points[k], _params_from_vector(points[k])))
+    best_point, lambda_max = max(converged, key=lambda c: c[1])  # first of any ties
+    best_params = _clone_params(best_point)
+    distinct: list[tuple] = []
+    for point, _ in converged:
+        if all(max(abs(a - b) for a, b in zip(point, seen)) > 1e-6 for seen in distinct):
+            distinct.append(point)
     return OptimizationReport(
         best_params=best_params,
-        lambda_max=float(lams[best_k]),
-        starts_converged=n_conv,
+        lambda_max=lambda_max,
+        starts_converged=len(converged),
         residual_max=float(np.max(np.abs(constraint_residuals(best_params, theta)))),
-        distinct_optima=tuple(p for _, p in distinct),
+        distinct_optima=tuple(map(_clone_params, distinct)),
     )

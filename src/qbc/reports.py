@@ -20,7 +20,7 @@ from .cloner import (
     marginals,
     optimal_params,
 )
-from .discrimination import helstrom, pure_pair_error, pure_pair_kets
+from .discrimination import check_theta, helstrom, pure_pair_error, pure_pair_kets
 from .optimizer import OptimizerConfig, maximize_lambda
 
 CSV_HEADER = "theta,phi,epsilon,p_e,lambda_max,entanglement,r1,r2,seed"
@@ -138,7 +138,12 @@ def grid_points(start: float, stop: float, steps: int) -> list[float]:
 def sweep_records(
     theta_start: float, theta_stop: float, steps: int, phi: float, epsilon: float, seed: int
 ) -> list[dict]:
-    """One record per theta grid point, tabulating the closed-form quantities."""
+    """One record per theta grid point, tabulating the closed-form quantities.
+
+    Both grid ends are range-checked before any record is built.
+    """
+    check_theta(theta_start)
+    check_theta(theta_stop)
     records = []
     for theta in grid_points(theta_start, theta_stop, steps):
         pe = pure_pair_error(theta)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import hilbert, infochannel, reports
 from . import tolerances as tol
-from ._kernels import run_starts
 from .cloner import (
     clone_entanglement,
     clone_state,
@@ -33,8 +32,8 @@ from .discrimination import (
 )
 from .optimizer import (
     OptimizerConfig,
-    _nearest_rotations,
-    _params_from_vector,
+    _ascents,
+    _clone_params,
     maximize_lambda,
     random_feasible_params,
 )
@@ -252,10 +251,9 @@ def _suite_optimizer(seed: int) -> list[CheckResult]:
     feas = CheckResult("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL)
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
         raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
-        points, lams, gnorms, iters, conv = run_starts(_nearest_rotations(raw, theta), theta)
-        for k in range(len(points)):
-            if conv[k]:
-                res = constraint_residuals(_params_from_vector(points[k]), theta)
+        for k, (point, _, _, _, converged) in enumerate(_ascents(theta, raw)):
+            if converged:
+                res = constraint_residuals(_clone_params(point), theta)
                 feas.add(float(np.max(np.abs(res))), f"theta={theta}, start {k}")
 
     return [grid, upper, det, feas]

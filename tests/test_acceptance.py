@@ -1,9 +1,9 @@
 """Acceptance gate: every release criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them inline).
-Stated runtime budgets are asserted on whichever kernel path runs, compiled
-or pure numpy; a module fixture warms the kernels first so budgets measure
-computation, not JIT compilation.
+Stated runtime budgets are asserted on the library's one plain-Python path;
+a module fixture runs the eigensolver and the optimizer once first so
+budgets measure computation, not first-call set-up.
 """
 
 import json

@@ -197,6 +197,16 @@ class TestSweep:
         assert main(["sweep", "--theta-grid", "0:1:1000001"]) == 2
         assert capsys.readouterr().err == "qbc sweep: STEPS must be at most 1000000, got 1000001\n"
 
+    def test_grid_ends_checked_before_any_record(self, monkeypatch, capsys):
+        def refuse_record(theta):
+            raise AssertionError("a record was computed before the grid ends were checked")
+
+        monkeypatch.setattr(reports, "pure_pair_error", refuse_record)
+        assert main(["sweep", "--theta-grid", "0:1.6:20000"]) == 2
+        assert capsys.readouterr().err == "qbc sweep: theta must lie in [0, pi/2], got 1.6\n"
+        with pytest.raises(ValueError, match="got -0.1"):
+            reports.sweep_records(-0.1, 1.0, 5, 0.4, 0.1, 0)
+
 
 class TestVerifyHook:
     def test_corrupted_tolerance_fails(self, monkeypatch, capsys):

@@ -12,17 +12,15 @@ from qbc.cloner import (
     clone_entanglement,
     clone_state,
     constraint_residuals,
-    from_xy,
     lambda_objective,
     marginal_closed_form,
     marginals,
     optimal_params,
-    to_xy,
     unitary_completion,
 )
 from qbc.discrimination import helstrom, pure_pair_error
 from qbc.errors import InfeasibleParamsError, SingularExpansionError
-from qbc.optimizer import random_feasible_params
+from qbc.optimizer import _clone_params, _orbit_vector, random_feasible_params
 
 H_QUARTER = 0.5623351446188083  # -0.25 ln 0.25 - 0.75 ln 0.75
 
@@ -77,7 +75,7 @@ class TestCloneParamsType:
         for _ in range(200):
             theta = rng.uniform(0, math.pi / 2)
             p = random_feasible_params(theta, rng)
-            q = from_xy(to_xy(p))
+            q = _clone_params(_orbit_vector(p))
             for f in ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1"):
                 assert getattr(q, f) == pytest.approx(getattr(p, f), abs=1e-15)
 

@@ -64,6 +64,33 @@ class TestInnerProduct:
             hilbert.inner_product(hilbert.basis(2, 0), hilbert.basis(4, 0))
 
 
+class TestOuter:
+    def test_projector_is_exactly_hermitian(self):
+        # with fused multiply-adds, this projector gets diagonal imaginary parts near 1e-17
+        k = hilbert.ket([0.6 + 0.1j, 0.3 - 0.734j])
+        p = hilbert.outer(k)
+        np.testing.assert_array_equal(p, p.conj().T)
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            k = hilbert.ket(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            p = hilbert.outer(k)
+            np.testing.assert_array_equal(p, p.conj().T)
+
+    def test_entries(self):
+        a = hilbert.ket([1.0, 2j])
+        b = hilbert.ket([3.0, 1j])
+        np.testing.assert_array_equal(hilbert.outer(a, b), [[3.0, -1j], [6j, 2.0]])
+        assert not hilbert.outer(a, b).flags.writeable
+
+    def test_rejects_mismatched_or_unsupported_kets(self):
+        with pytest.raises(ValueError):
+            hilbert.outer(hilbert.basis(2, 0), hilbert.basis(4, 0))
+        with pytest.raises(ValueError):
+            hilbert.outer(np.ones(3, dtype=complex))
+        with pytest.raises(ValueError):
+            hilbert.outer(np.eye(2, dtype=complex))
+
+
 class TestTensor:
     def test_basis_products(self):
         k0, k1 = hilbert.basis(2, 0), hilbert.basis(2, 1)
@@ -297,13 +324,6 @@ class TestEntropy:
 
 
 class TestValidators:
-    def test_density_matrix_ok(self):
-        hilbert.require_density_matrix(np.eye(2, dtype=complex) / 2)
-
-    def test_density_matrix_bad_trace(self):
-        with pytest.raises(ValueError):
-            hilbert.require_density_matrix(np.eye(2, dtype=complex))
-
     def test_ket_rejects_nan(self):
         with pytest.raises(ValueError):
             hilbert.ket([np.nan, 0.0])
@@ -311,3 +331,21 @@ class TestValidators:
     def test_ket_rejects_dim3(self):
         with pytest.raises(ValueError):
             hilbert.ket([1.0, 0.0, 0.0])
+
+    def test_operator_rejects_bad_shapes(self):
+        for entries in ([1.0, 0.0], np.eye(3), np.ones((2, 4)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square with dim 2 or 4"):
+                hilbert.operator(entries)
+
+    def test_operator_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                hilbert.operator([[1.0, bad], [0.0, 1.0]])
+
+    def test_operator_returns_read_only_copy(self):
+        entries = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        m = hilbert.operator(entries)
+        assert not m.flags.writeable
+        assert entries.flags.writeable
+        entries[0, 0] = 9.0
+        assert m[0, 0] == 1.0

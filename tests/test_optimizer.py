@@ -9,15 +9,14 @@ from qbc import tolerances as tol
 from qbc._kernels import clone_lambda, rotate, rotation_grad
 from qbc.cloner import (
     CloneParams,
-    XYParams,
     constraint_residuals,
-    from_xy,
     lambda_objective,
     optimal_params,
 )
 from qbc.errors import OptimizationFailure, ProjectionError
 from qbc.optimizer import (
     OptimizerConfig,
+    _clone_params,
     maximize_lambda,
     project_to_feasible,
     random_feasible_params,
@@ -67,9 +66,8 @@ class TestGradient:
             c1, c2 = -2.0 * math.sin(theta / 2) ** 2, math.sin(theta)
             d = tuple(c1 * vi + c2 * bi for vi, bi in zip(v, b))
             # the cancellation-free objective against the coefficient form
-            w = [vi + di for vi, di in zip(v, d)]
-            xy = XYParams(x0=v[0], y0=v[1], b0=v[2] / math.sqrt(2), x1=w[0], y1=w[1], b1=w[2] / math.sqrt(2))
-            assert clone_lambda(v, d) == pytest.approx(lambda_objective(from_xy(xy)), rel=1e-8)
+            w = tuple(vi + di for vi, di in zip(v, d))
+            assert clone_lambda(v, d) == pytest.approx(lambda_objective(_clone_params((*v, *w))), rel=1e-8)
             omega = np.array(rotation_grad(v, d))
             s2 = math.sin(theta) ** 2
             for w in [*np.eye(3), omega / np.linalg.norm(omega)]:
@@ -117,6 +115,12 @@ class TestMaximizeLambda:
         a = maximize_lambda(0.7, OptimizerConfig(seed=1))
         b = maximize_lambda(0.7, OptimizerConfig(seed=2))
         assert a.lambda_max == pytest.approx(b.lambda_max, abs=1e-9)
+
+    def test_ties_go_to_the_first_converged_start(self):
+        # at theta = 0 every start's objective is exactly 0
+        report = maximize_lambda(0.0, OptimizerConfig(n_starts=8, seed=5))
+        assert report.starts_converged == 8
+        assert report.best_params == report.distinct_optima[0]
 
     def test_failure_when_no_start_can_converge(self, monkeypatch):
         monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
