@@ -158,30 +158,17 @@ def ancilla_row(params: CloneParams, theta: float) -> np.ndarray:
 
 
 def unitary_completion(params: CloneParams, theta: float) -> np.ndarray:
-    """Diagnostic full 4x4 unitary extending the isometry (Gram-Schmidt).
+    """Diagnostic full 4x4 unitary extending the isometry (complete QR).
 
     Columns 0 and 2 (inputs |0,blank> and |1_perp,blank>) are fixed by the
-    parameters; the remaining two columns are an arbitrary orthonormal
-    completion and carry no physical meaning.
+    parameters; the remaining two columns are the orthonormal complement of
+    their span from a complete QR factorization, and carry no physical
+    meaning. Column 2 divides by sin(theta), so on feasible parameters
+    max |U^H U - I| <= 2^-49 / sin(theta).
     """
-    fixed = {
-        0: params.row(0).astype(np.complex128),
-        2: ancilla_row(params, theta).astype(np.complex128),
-    }
-    cols: list[np.ndarray] = [fixed[0], fixed[2]]
-    free: list[np.ndarray] = []
-    for seed in np.eye(4, dtype=np.complex128):
-        if len(free) == 2:
-            break
-        v = seed.copy()
-        for c in cols:
-            v = v - np.vdot(c, v) * c
-        norm = math.sqrt(float(np.vdot(v, v).real))
-        if norm > 1e-8:
-            v = v / norm
-            cols.append(v)
-            free.append(v)
-    u = np.column_stack([fixed[0], free[0], fixed[2], free[1]])
+    fixed = np.column_stack([params.row(0), ancilla_row(params, theta)])
+    free = np.linalg.qr(fixed, mode="complete").Q
+    u = np.column_stack([fixed[:, 0], free[:, 2], fixed[:, 1], free[:, 3]]).astype(np.complex128)
     u.setflags(write=False)
     return u
 

@@ -73,12 +73,6 @@ def require_normalized(a: np.ndarray) -> None:
         raise ValueError(f"ket is not normalized: |norm^2 - 1| = {abs(norm2 - 1.0):.3e}")
 
 
-def require_hermitian(m: np.ndarray) -> None:
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"operator must be square with dim 2 or 4, got {m.shape}")
-    _check_hermitian(m.tolist())
-
-
 def _check_hermitian(rows: list) -> None:
     """Raise unless max |m - m^H| over the rows of m is within VALIDATION_TOL.
 

@@ -45,14 +45,15 @@ class OptimizationReport:
     lambda_max is the ascent's cancellation-free objective at that start's
     orbit point; lambda_objective(best_params) agrees with it up to the
     rounding of the coefficients, which matters only in relative terms as
-    theta goes to 0.
+    theta goes to 0. starts_converged counts the starts that met the
+    gradient tolerance, and residual_max is the largest constraint residual
+    of best_params.
     """
 
     best_params: CloneParams
     lambda_max: float
     starts_converged: int
     residual_max: float
-    distinct_optima: tuple[CloneParams, ...]
 
 
 def _orbit_vector(p: CloneParams) -> np.ndarray:
@@ -101,11 +102,12 @@ def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
 def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
     """Ascend from the rotation nearest to each row of raw, an (n, 6) array.
 
-    One tuple per start, in row order, of Python values: the orbit point
-    (six floats), the objective, |omega|, the iteration count and the
-    converged flag.
+    One tuple per start, in row order: the end point as CloneParams, then
+    the objective, |omega|, the iteration count and the converged flag as
+    Python values.
     """
-    return list(zip(*(col.tolist() for col in run_starts(_nearest_rotations(raw, theta), theta))))
+    points, *rest = (col.tolist() for col in run_starts(_nearest_rotations(raw, theta), theta))
+    return list(zip(map(_clone_params, points), *rest))
 
 
 def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
@@ -134,15 +136,14 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
 
     Aggregation is a max over converged starts with ties broken by start
     index, so any concurrent schedule of the independent starts would give
-    the same report. Optima count as distinct when their orbit points differ
-    by more than 1e-6 in some coordinate.
+    the same report.
     """
     check_theta(theta)
     if config is None:
         config = OptimizerConfig()
     rng = np.random.default_rng(config.seed)
     starts = _ascents(theta, rng.standard_normal((config.n_starts, 6)))
-    converged = [(point, lam) for point, lam, _, _, conv in starts if conv]
+    converged = [(params, lam) for params, lam, _, _, conv in starts if conv]
     if not converged:
         lams = [s[1] for s in starts]
         gnorms = [s[2] for s in starts]
@@ -153,16 +154,10 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
             f"gradient norms in [{min(gnorms)}, {max(gnorms)}] "
             f"against tol * sin^2(theta) = {tol.OPTIMIZER_GRAD_TOL * math.sin(theta) ** 2}"
         )
-    best_point, lambda_max = max(converged, key=lambda c: c[1])  # first of any ties
-    best_params = _clone_params(best_point)
-    distinct: list[tuple] = []
-    for point, _ in converged:
-        if all(max(abs(a - b) for a, b in zip(point, seen)) > 1e-6 for seen in distinct):
-            distinct.append(point)
+    best_params, lambda_max = max(converged, key=lambda c: c[1])  # first of any ties
     return OptimizationReport(
         best_params=best_params,
         lambda_max=lambda_max,
         starts_converged=len(converged),
         residual_max=float(np.max(np.abs(constraint_residuals(best_params, theta)))),
-        distinct_optima=tuple(map(_clone_params, distinct)),
     )

@@ -97,7 +97,6 @@ def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
             ),
             "starts_converged": report.starts_converged,
             "residual_max": report.residual_max,
-            "distinct_optima": len(report.distinct_optima),
             "best_params": asdict(report.best_params),
             "n_starts": n_starts,
             "seed": seed,

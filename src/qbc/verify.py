@@ -33,7 +33,6 @@ from .discrimination import (
 from .optimizer import (
     OptimizerConfig,
     _ascents,
-    _clone_params,
     maximize_lambda,
     random_feasible_params,
 )
@@ -244,16 +243,16 @@ def _suite_optimizer(seed: int) -> list[CheckResult]:
     det = CheckResult("optimizer", "same_seed_determinism", 0.0)
     for theta in (0.3, 1.1):
         cfg = OptimizerConfig(n_starts=8, seed=seed)
-        # dataclass equality: every report field, the optima included
+        # dataclass equality: every report field
         same = maximize_lambda(theta, cfg) == maximize_lambda(theta, cfg)
         det.add(0.0 if same else 1.0, f"theta={theta}")
 
     feas = CheckResult("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL)
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
         raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
-        for k, (point, _, _, _, converged) in enumerate(_ascents(theta, raw)):
+        for k, (params, _, _, _, converged) in enumerate(_ascents(theta, raw)):
             if converged:
-                res = constraint_residuals(_clone_params(point), theta)
+                res = constraint_residuals(params, theta)
                 feas.add(float(np.max(np.abs(res))), f"theta={theta}, start {k}")
 
     return [grid, upper, det, feas]

@@ -1,6 +1,7 @@
 """The qbc executable: outputs, formats, exit codes, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -113,6 +114,13 @@ class TestOptimize:
         b = run_qbc("optimize", "--theta", "0.9", "--seed", "3")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+    def test_report_fields(self, capsys):
+        assert main(["optimize", "--theta", "0.8", "--n-starts", "4", "--seed", "5"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "theta", "lambda_max", "reference", "gap", "relative_gap", "starts_converged",
+            "residual_max", "best_params", "n_starts", "seed",
+        ]
 
     def test_n_starts_cap(self, monkeypatch, capsys):
         # in-process, with the report stubbed out: a missing cap fails fast
@@ -246,6 +254,31 @@ class TestUsageErrors:
         assert out.stdout == ""
         assert out.stderr.startswith(prefix)
         assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+
+
+class TestGoldenBytes:
+    """sha1 prefixes of stdout for commands that run no LAPACK, so no BLAS build moves their bytes.
+
+    Any change to this table is a change to the printed output and is to be
+    recorded in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("discriminate --theta 0", "21d413ad49bd"),
+            ("discriminate --theta 1e-6", "1d17d1f6f80a"),
+            ("discriminate --theta 0.5235987755982988", "979f4848d8bf"),
+            (f"discriminate --theta {PI_2}", "971c3a3f4f78"),
+            ("discriminate --theta 1e-15", "14fe298af190"),
+            ("clone --theta 0.9 --phi 3.141592653589793", "33d9cef93602"),
+            ("rates --theta 1e-7 --epsilon 0.5", "0115e44210d0"),
+            (f"sweep --theta-grid 0:{PI_2}:41 --phi 0.4 --epsilon 0.1", "8fbdabf8c17e"),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(argv.split()) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
 class TestJsonRoundTrip:

@@ -238,13 +238,27 @@ class TestAncillaRow:
 class TestUnitaryCompletion:
     def test_unitary_and_matches_rows(self):
         rng = np.random.default_rng(31)
-        for _ in range(20):
+        # Gram-Schmidt from the unit vectors loses orthogonality here (9.3e-12)
+        cases = [(0.22469920164591928, optimal_params(0.22469920164591928, 3.141833127778564))]
+        for _ in range(2000):
             theta = rng.uniform(0.05, math.pi / 2)
-            p = random_feasible_params(theta, rng)
+            cases.append((theta, random_feasible_params(theta, rng)))
+        for theta, p in cases:
             u = unitary_completion(p, theta)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             np.testing.assert_allclose(u[:, 0].real, p.row(0), atol=1e-12)
             np.testing.assert_allclose(u[:, 2].real, ancilla_row(p, theta), atol=1e-12)
+
+    def test_accuracy_as_theta_goes_to_zero(self):
+        """max |U^H U - I| <= 2^-49 / sin(theta) on a log grid of theta down to 1e-12."""
+        rng = np.random.default_rng(32)
+        for theta in np.geomspace(1e-12, math.pi / 2, 200).tolist():
+            for k in range(12):
+                phi = 2 * math.pi * k / 12
+                for p in (optimal_params(theta, phi), random_feasible_params(theta, rng)):
+                    u = unitary_completion(p, theta)
+                    dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
+                    assert dev <= 2.0**-49 / math.sin(theta), (theta, phi, p)
 
 
 class TestCloneEntanglement:

@@ -261,9 +261,8 @@ class TestHermitianEig:
             m[0, 1], m[1, 0] = big, -big
             cases.append(m)
         for m in cases:
-            for check in (hilbert.require_hermitian, hilbert.hermitian_eig):
-                with pytest.raises(ValueError, match="not Hermitian: max deviation inf"):
-                    check(m)
+            with pytest.raises(ValueError, match="not Hermitian: max deviation inf"):
+                hilbert.hermitian_eig(m)
 
     def test_dim2_closed_form_against_eigvalsh(self):
         """The closed-form dim-2 rotation on edge-case and random inputs."""

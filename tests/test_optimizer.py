@@ -16,6 +16,7 @@ from qbc.cloner import (
 from qbc.errors import OptimizationFailure, ProjectionError
 from qbc.optimizer import (
     OptimizerConfig,
+    _ascents,
     _clone_params,
     maximize_lambda,
     project_to_feasible,
@@ -90,8 +91,10 @@ class TestMaximizeLambda:
         report = maximize_lambda(math.pi / 3, OptimizerConfig(seed=1))
         assert report.lambda_max == pytest.approx(0.75, abs=1e-6)
         # the free parameter sweeps a family of equally good optima
-        for p in report.distinct_optima:
-            assert lambda_objective(p) == pytest.approx(0.75, abs=1e-6)
+        raw = np.random.default_rng(1).standard_normal((32, 6))
+        for p, _, _, _, converged in _ascents(math.pi / 3, raw):
+            if converged:
+                assert lambda_objective(p) == pytest.approx(0.75, abs=1e-6)
 
     def test_report_invariants(self):
         report = maximize_lambda(1.1, OptimizerConfig(seed=3))
@@ -103,13 +106,7 @@ class TestMaximizeLambda:
 
     def test_same_seed_bitwise_identical(self):
         cfg = OptimizerConfig(n_starts=16, seed=11)
-        a = maximize_lambda(0.7, cfg)
-        b = maximize_lambda(0.7, cfg)
-        assert a.best_params == b.best_params
-        assert a.lambda_max == b.lambda_max
-        assert a.starts_converged == b.starts_converged
-        assert a.residual_max == b.residual_max
-        assert a.distinct_optima == b.distinct_optima
+        assert maximize_lambda(0.7, cfg) == maximize_lambda(0.7, cfg)
 
     def test_different_seeds_same_value(self):
         a = maximize_lambda(0.7, OptimizerConfig(seed=1))
@@ -120,7 +117,8 @@ class TestMaximizeLambda:
         # at theta = 0 every start's objective is exactly 0
         report = maximize_lambda(0.0, OptimizerConfig(n_starts=8, seed=5))
         assert report.starts_converged == 8
-        assert report.best_params == report.distinct_optima[0]
+        first = _ascents(0.0, np.random.default_rng(5).standard_normal((8, 6)))[0]
+        assert report.best_params == first[0]
 
     def test_failure_when_no_start_can_converge(self, monkeypatch):
         monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)

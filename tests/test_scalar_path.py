@@ -76,9 +76,8 @@ def numpy_outcome(m):
 
 @PROPERTY_SETTINGS
 @given(st.sampled_from((2, 4)).flatmap(near_hermitian))
-def test_accepts_what_require_hermitian_accepts(m):
+def test_hermitian_eig_accepts_what_numpy_check_accepts(m):
     want = numpy_outcome(m)
-    assert outcome(hilbert.require_hermitian, m) == want
     got = outcome(hilbert.hermitian_eig, m)
     if want is None:
         assert isinstance(got, hilbert.EigDecomposition)
