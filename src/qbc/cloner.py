@@ -87,13 +87,13 @@ def constraint_residuals(params: CloneParams, theta: float) -> np.ndarray:
 
 def clone_state(params: CloneParams, which: int) -> np.ndarray:
     """Two-qubit output state for input 0 or 1."""
-    amp = params.row(which).astype(np.complex128)
-    norm2 = float(np.vdot(amp, amp).real)
+    sigma = hilbert.ket(params.row(which))
+    norm2 = float(np.vdot(sigma, sigma).real)
     if abs(norm2 - 1.0) > tol.VALIDATION_TOL:
         raise InfeasibleParamsError(
             f"clone state norm^2 = {norm2} deviates from 1 beyond {tol.VALIDATION_TOL}"
         )
-    return hilbert.ket(amp)
+    return sigma
 
 
 def marginals(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

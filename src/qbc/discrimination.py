@@ -1,12 +1,12 @@
 """Minimum-error discrimination of two equiprobable quantum states.
 
 The optimal two-outcome measurement splits the spectral projectors of
-rho0 - rho1 by eigenvalue sign; its error is 1/2 (1 + sum of negative
-eigenvalues). Zero eigenvalues are assigned to the first outcome, which
-fixes a deterministic measurement without changing the error. The split into
-projectors and the POVM's sum-to-identity check run on Python scalars, one
-routine for dims 2 and 4; each POVM element is then checked through
-hilbert.hermitian_eig.
+rho0 - rho1 by eigenvalue sign; its error is 1/2 - 1/4 |rho0 - rho1|_1, the
+trace norm summed over the eigenvalue magnitudes in ascending order. Zero
+eigenvalues are assigned to the first outcome, which fixes a deterministic
+measurement without changing the error. The split into projectors and the
+POVM's sum-to-identity check run on Python scalars, one routine for dims 2
+and 4; each POVM element is then checked through hilbert.hermitian_eig.
 """
 
 import math
@@ -76,27 +76,18 @@ def error_of_povm(rho0: np.ndarray, rho1: np.ndarray, povm: BinaryPOVM) -> float
 def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
     """Optimal measurement and its error for two equiprobable states.
 
-    The error is evaluated in a swap-symmetric form, so exchanging the two
-    states returns the identical float.
+    The error is 1/2 - 1/4 |rho0 - rho1|_1, with the trace norm summed over
+    the eigenvalue magnitudes in ascending order. Swapping the states negates
+    every eigenvalue and leaves the sorted magnitudes unchanged, so it
+    returns the identical float.
     """
     if rho0.shape != rho1.shape:
         raise ValueError("dimension mismatch between states")
     diff = rho0 - rho1
     dec = hilbert.hermitian_eig(diff)
     evals = dec.eigenvalues.tolist()
-    dim = len(evals)
     pi0, pi1 = _sign_split(evals, dec.eigenvectors.tolist())
-    # sum each sign class in ascending-magnitude order: the two orderings
-    # mirror exactly under a swap of the inputs
-    neg = 0.0
-    for k in range(dim - 1, -1, -1):
-        if evals[k] < 0.0:
-            neg += evals[k]
-    pos = 0.0
-    for k in range(dim):
-        if evals[k] > 0.0:
-            pos += evals[k]
-    error = 0.5 - (pos - neg) / 4.0
+    error = 0.5 - sum(sorted(abs(lam) for lam in evals)) / 4.0
     return DiscriminationResult(povm=BinaryPOVM(pi0=pi0, pi1=pi1), error_prob=error)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .cloner import clone_state, marginal_closed_form, optimal_params
+from .cloner import marginal_closed_form, optimal_params
 from .discrimination import BinaryPOVM, binary_entropy
 
 LN2 = math.log(2.0)
@@ -116,14 +116,13 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
     elems = (povm.pi0.tolist(), povm.pi1.tolist())
     out = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     for x in range(2):
-        # sigma's component 2j+k is s[j][k] (system j, clone k), so
-        # <sigma|A (x) B|sigma> = sum_ij A_ij C_ij with C = conj(s) B s^T
-        s0, s1, s2, s3 = clone_state(params, x).tolist()
+        # sigma's component 2j+k is the real s[j][k] (system j, clone k), so
+        # <sigma|A (x) B|sigma> = sum_ij A_ij C_ij with C = s B s^T
+        s0, s1, s2, s3 = params.row(x).tolist()
         s = ((s0, s1), (s2, s3))
-        sc = ((s0.conjugate(), s1.conjugate()), (s2.conjugate(), s3.conjugate()))
         for z, ((b00, b01), (b10, b11)) in enumerate(elems):
-            # row i of conj(s) B, then its products with the rows of s
-            rows = [(u0 * b00 + u1 * b10, u0 * b01 + u1 * b11) for u0, u1 in sc]
+            # row i of s B, then its products with the rows of s
+            rows = [(u0 * b00 + u1 * b10, u0 * b01 + u1 * b11) for u0, u1 in s]
             c = [[w0 * v0 + w1 * v1 for v0, v1 in s] for w0, w1 in rows]
             for y, ((a00, a01), (a10, a11)) in enumerate(elems):
                 val = (a00 * c[0][0] + a01 * c[0][1]) + (a10 * c[1][0] + a11 * c[1][1])

@@ -98,6 +98,12 @@ class TestCloneState:
         with pytest.raises(InfeasibleParamsError):
             clone_state(bad, 0)
 
+    def test_rejects_non_finite_rows(self):
+        for value in (math.inf, -math.inf, math.nan):
+            bad = CloneParams.symmetric(a0=value, b0=0, d0=0, a1=0, b1=0, d1=1)
+            with pytest.raises(ValueError, match="finite"):
+                clone_state(bad, 0)
+
 
 class TestMarginals:
     def test_product_output(self):

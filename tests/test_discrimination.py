@@ -17,8 +17,8 @@ from qbc.discrimination import (
 )
 
 
-def random_density(rng):
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def random_density(rng, dim=2):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -97,6 +97,19 @@ class TestHelstrom:
         for _ in range(300):
             rho0, rho1 = random_density(rng), random_density(rng)
             assert helstrom(rho0, rho1).error_prob == helstrom(rho1, rho0).error_prob
+
+    def test_swap_symmetry_exact_dim4(self):
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            rho0, rho1 = random_density(rng, 4), random_density(rng, 4)
+            assert helstrom(rho0, rho1).error_prob == helstrom(rho1, rho0).error_prob
+
+    def test_dim4_equals_trace_norm(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            rho0, rho1 = random_density(rng, 4), random_density(rng, 4)
+            trace_norm = np.sum(np.abs(np.linalg.eigvalsh(rho0 - rho1)))
+            assert abs(helstrom(rho0, rho1).error_prob - (0.5 - trace_norm / 4)) <= 1e-15
 
     def test_optimality_over_random_povms(self):
         rng = np.random.default_rng(8)

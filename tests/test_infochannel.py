@@ -1,12 +1,14 @@
 """Induced channels, the degraded cascade, and the rate region."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qbc.discrimination import clone_povm_closed_form, helstrom, pure_pair_error
-from qbc.cloner import marginal_closed_form
+from qbc import hilbert
+from qbc.discrimination import BinaryPOVM, clone_povm_closed_form, helstrom, pure_pair_error
+from qbc.cloner import clone_state, marginal_closed_form, optimal_params
 from qbc.infochannel import (
     BinaryChannel,
     JointDistribution,
@@ -100,6 +102,41 @@ class TestJointCloneChannel:
         ch = induced_channel(math.pi / 4, math.pi / 2, povm)
         product = np.outer(ch.p[:, 0], ch.p[:, 0])
         assert np.max(np.abs(joint[:, :, 0] - product)) > 1e-3
+
+    def test_matches_clone_ket_route(self):
+        # independent route: <sigma_x| Pi_y (x) Pi_z |sigma_x> on the clone kets
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            theta, phi = rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            w = np.array([-v[1].conjugate(), v[0].conjugate()])
+            lo, hi = sorted(rng.uniform(0, 1, 2))
+            pi0 = lo * np.outer(v, v.conj()) + hi * np.outer(w, w.conj())
+            povm = BinaryPOVM(pi0=pi0, pi1=np.eye(2) - pi0)
+            elems = (povm.pi0, povm.pi1)
+            joint = joint_clone_channel(theta, phi, povm)
+            params = optimal_params(theta, phi)
+            for x in range(2):
+                sigma = clone_state(params, x)
+                for y in range(2):
+                    for z in range(2):
+                        op = hilbert.tensor_op(elems[y], elems[z])
+                        ref = np.vdot(sigma, op @ sigma).real
+                        assert abs(joint[y, z, x] - ref) <= 1e-15, (theta, phi, x, y, z)
+
+    def test_golden_bytes(self):
+        # sha1 prefix of the tables on a (theta, phi) grid with the
+        # closed-form and Helstrom POVMs; no LAPACK runs, so no BLAS build
+        # moves these bytes. A change here is to be recorded in CHANGES.md.
+        h = hashlib.sha1()
+        for theta in np.linspace(0.0, math.pi / 2, 13).tolist():
+            for k in range(12):
+                phi = 2 * math.pi * k / 12
+                povms = (clone_povm_closed_form(phi), helstrom(*marginal_closed_form(theta, phi)).povm)
+                for povm in povms:
+                    h.update(joint_clone_channel(theta, phi, povm).tobytes())
+        assert h.hexdigest()[:12] == "80cbc3d0325c"
 
 
 # induced channels whose columns differ by only sin(theta); solving through
