@@ -121,9 +121,14 @@ def pure_pair_kets(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pure_pair_error(theta: float) -> float:
-    """Minimum error for two equiprobable pure states with overlap cos(theta)."""
+    """Minimum error for two equiprobable pure states with overlap cos(theta).
+
+    1/2 (1 - sin(theta)) cancels near pi/2, so above sin(theta) = 1/2 it is
+    cos(theta)^2 / (2 (1 + sin(theta))); relative error at most 2^-50.
+    """
     check_theta(theta)
-    return 0.5 * (1.0 - math.sin(theta))
+    s = math.sin(theta)
+    return 0.5 * (1.0 - s) if s <= 0.5 else math.cos(theta) ** 2 / (2.0 * (1.0 + s))
 
 
 def binary_entropy(x: float) -> float:

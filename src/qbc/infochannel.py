@@ -118,8 +118,7 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
     for x in range(2):
         # sigma's component 2j+k is the real s[j][k] (system j, clone k), so
         # <sigma|A (x) B|sigma> = sum_ij A_ij C_ij with C = s B s^T
-        s0, s1, s2, s3 = params.row(x).tolist()
-        s = ((s0, s1), (s2, s3))
+        s = params.row(x).reshape(2, 2).tolist()
         for z, ((b00, b01), (b10, b11)) in enumerate(elems):
             # row i of s B, then its products with the rows of s
             rows = [(u0 * b00 + u1 * b10, u0 * b01 + u1 * b11) for u0, u1 in s]

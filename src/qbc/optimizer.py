@@ -96,7 +96,7 @@ def _nearest_rotations(u: np.ndarray, theta: float) -> np.ndarray:
 def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
     """The feasible point R P(theta) nearest to one orbit-coordinate vector."""
     point = _nearest_rotations(u, theta)[0] @ _orbit_frame(theta)
-    return _clone_params(point.T.reshape(6))
+    return _clone_params(point.T.reshape(6).tolist())
 
 
 def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
@@ -114,10 +114,14 @@ def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
     """Project raw coefficients onto the feasible set for the given angle.
 
     One closed-form orthogonal Procrustes step; already-feasible input is a
-    fixed point. Raises ProjectionError when no point is nearest (all-zero
-    rows, or antiparallel rows at theta = 0).
+    fixed point. Raises ValueError unless every coefficient is finite and at
+    most 2^1000 in magnitude; from about 6e307 on, the orbit coordinates or
+    U P(theta)^T overflow. Raises ProjectionError when no point is nearest
+    (all-zero rows, or antiparallel rows at theta = 0).
     """
     check_theta(theta)
+    if not all(abs(c) <= 2.0**1000 for c in (raw.a0, raw.b0, raw.d0, raw.a1, raw.b1, raw.d1)):
+        raise ValueError("coefficients must be finite, with magnitude at most 2^1000")
     return _feasible_params(_orbit_vector(raw), theta)
 
 

@@ -1,6 +1,7 @@
 """The symmetric cloning family: feasibility, marginals, objective, entanglement."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -267,9 +268,53 @@ class TestUnitaryCompletion:
                     assert dev <= 2.0**-49 / math.sin(theta), (theta, phi, p)
 
 
+# pi to 80 digits, for the decimal reference below
+PI_80 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
+
+
+def reference_error_and_entropy(theta):
+    """p_e = sin^2(pi/4 - theta/2) at the exact double theta, and h(p_e), to 40 digits.
+
+    The 80-digit working precision covers 1 - p_e, which keeps fewer than
+    40 digits of p_e when p_e is tiny.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = PI_80 / 4 - Decimal(theta) / 2
+        # Taylor series of sin on [0, pi/4]: 40 terms pass 80 digits
+        term = sin_x = x
+        for k in range(1, 40):
+            term = -term * x * x / ((2 * k) * (2 * k + 1))
+            sin_x += term
+        pe = sin_x * sin_x
+        return pe, -pe * pe.ln() - (1 - pe) * (1 - pe).ln()
+
+
+def accuracy_grid():
+    """theta across [0, pi/2]: log-spaced toward 0 and toward pi/2, and uniform."""
+    near_pi_2 = [math.pi / 2 - d for d in np.geomspace(1e-16, 1.0, 400).tolist()]
+    uniform = np.random.default_rng(17).uniform(0.0, math.pi / 2, 400).tolist()
+    ends = [0.0, math.pi / 6, math.pi / 2 - 1e-8, math.pi / 2]
+    return np.geomspace(1e-300, 1.0, 200).tolist() + near_pi_2 + uniform + ends
+
+
+class TestRelativeAccuracy:
+    """p_e and the clone entanglement keep the relative bound 2^-50 stated in their docstrings."""
+
+    def test_against_decimal_reference(self):
+        bound = Decimal(2) ** -50
+        for theta in accuracy_grid():
+            ref_pe, ref_h = reference_error_and_entropy(theta)
+            got_pe, got_h = pure_pair_error(theta), clone_entanglement(theta, 0.0)
+            assert abs(Decimal(got_pe) / ref_pe - 1) <= bound, theta
+            assert abs(Decimal(got_h) / ref_h - 1) <= bound, theta
+
+
 class TestCloneEntanglement:
     def test_endpoints(self):
-        assert clone_entanglement(math.pi / 2, 0.0) == 0.0
+        # the double nearest pi/2 lies 6.1e-17 below it, where p_e = 9.4e-34
+        got = clone_entanglement(math.pi / 2, 0.0)
+        assert got == pytest.approx(7.222281335872614e-32, rel=2**-50, abs=0.0)
         assert clone_entanglement(0.0, 0.0) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_pi_over_6(self):

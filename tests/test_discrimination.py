@@ -145,7 +145,8 @@ class TestHelstrom:
 
 class TestPurePairError:
     def test_endpoints(self):
-        assert pure_pair_error(math.pi / 2) == 0.0
+        # the double nearest pi/2 lies 6.1e-17 below it
+        assert pure_pair_error(math.pi / 2) == pytest.approx(9.37349864163661e-34, rel=2**-50, abs=0.0)
         assert pure_pair_error(0.0) == 0.5
 
     def test_pi_over_6(self):

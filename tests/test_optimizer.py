@@ -43,6 +43,25 @@ class TestProjectToFeasible:
         with pytest.raises(ProjectionError):
             project_to_feasible(CloneParams.symmetric(0, 0, 0, 0, 0, 0), 0.5)
 
+    def test_rejects_non_finite_and_huge_coefficients(self):
+        # a0 = d0 = 1e308 overflows a0 + d0 in the orbit coordinates
+        for a0, d0 in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (1e308, 1e308)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                project_to_feasible(CloneParams.symmetric(a0, 0.0, d0, 0.0, 1.0, 0.0), 0.7)
+
+    def test_largest_accepted_scale(self):
+        p = CloneParams.symmetric(0.3, -0.2, 0.9, 0.1, 0.5, -0.4)
+        big = CloneParams.symmetric(*(2.0**1000 * c for c in (0.3, -0.2, 0.9, 0.1, 0.5, -0.4)))
+        q, q_big = project_to_feasible(p, 0.7), project_to_feasible(big, 0.7)
+        np.testing.assert_allclose(q_big.row(0), q.row(0), atol=1e-15)
+        np.testing.assert_allclose(q_big.row(1), q.row(1), atol=1e-15)
+
+    def test_fields_are_python_floats(self):
+        rng = np.random.default_rng(3)
+        raw = CloneParams.symmetric(0.3, -0.2, 0.9, 0.1, 0.5, -0.4)
+        for p in (random_feasible_params(0.6, rng), project_to_feasible(raw, 0.6)):
+            assert all(type(v) is float for v in vars(p).values()), p
+
     def test_random_projections_feasible(self):
         rng = np.random.default_rng(41)
         thetas = [0.0, math.pi / 2] + [rng.uniform(0, math.pi / 2) for _ in range(300)]
