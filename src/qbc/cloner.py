@@ -174,12 +174,9 @@ def unitary_completion(params: CloneParams, theta: float) -> np.ndarray:
 
 
 def clone_entanglement(theta: float, phi: float) -> float:
-    """Entropy (nats) of either clone marginal; equals h of the pure-pair error.
-
-    Below p_e = 1/4, ln(1 - p_e) is taken with log1p, as 1 - p_e rounds to 1
-    when p_e is tiny. The relative error is at most 2^-50 over [0, pi/2].
-    """
+    """Entropy (nats) h(p_e) of either clone marginal; relative error at most 2^-50."""
     check_theta(theta)
     check_phi(phi)
     pe = pure_pair_error(theta)
+    # 1 - p_e rounds to 1 as p_e goes to 0, so below 1/4 ln(1 - p_e) is log1p(-p_e)
     return binary_entropy(pe) if pe >= 0.25 else -pe * math.log(pe) - (1.0 - pe) * math.log1p(-pe)

@@ -154,8 +154,12 @@ def partial_trace(state: np.ndarray, subsystem: str) -> np.ndarray:
         return _readonly(out)
     if state.shape != (4, 4):
         raise ValueError(f"partial_trace expects a dim-4 ket or 4x4 operator, got {state.shape}")
-    spec = "kikj->ij" if subsystem == "first" else "ikjk->ij"
-    return _readonly(np.einsum(spec, state.reshape(2, 2, 2, 2)))
+    t = state.reshape(2, 2, 2, 2)
+    if subsystem == "first":
+        out = np.einsum("kikj->ij", t)
+    else:
+        out = np.einsum("ikjk->ij", t)
+    return _readonly(out)
 
 
 @dataclass(frozen=True)
