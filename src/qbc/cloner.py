@@ -44,6 +44,9 @@ class CloneParams:
     d1: float
 
     def __post_init__(self):
+        coeffs = (self.a0, self.b0, self.c0, self.d0, self.a1, self.b1, self.c1, self.d1)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
         if self.c0 != self.b0 or self.c1 != self.b1:
             raise ValueError("marginal symmetry requires c0 == b0 and c1 == b1")
 
@@ -177,6 +180,4 @@ def clone_entanglement(theta: float, phi: float) -> float:
     """Entropy (nats) h(p_e) of either clone marginal; relative error at most 2^-50."""
     check_theta(theta)
     check_phi(phi)
-    pe = pure_pair_error(theta)
-    # 1 - p_e rounds to 1 as p_e goes to 0, so below 1/4 ln(1 - p_e) is log1p(-p_e)
-    return binary_entropy(pe) if pe >= 0.25 else -pe * math.log(pe) - (1.0 - pe) * math.log1p(-pe)
+    return binary_entropy(pure_pair_error(theta))

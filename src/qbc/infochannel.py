@@ -4,8 +4,10 @@ A binary channel is stored as p[out][in] with columns summing to 1. The
 broadcast construction is a cascade S -> X -> Y -> Z: a trade-off channel
 with crossover epsilon, the measurement-induced channel, and an identity
 post-processing, all over a uniform prior on S. Information quantities are
-in nats; conventions 0 ln 0 = 0 and "conditioning on a null event
-contributes nothing" make the epsilon endpoints exact.
+in nats, each one sum over weighted 2x2 tables (conditional information has
+a slice per value of the condition); conventions 0 ln 0 = 0 and
+"conditioning on a null event contributes nothing" make the epsilon
+endpoints exact.
 """
 
 import math
@@ -30,7 +32,10 @@ class BinaryChannel:
 
     def __post_init__(self):
         # a private copy: freezing it leaves the caller's array writable
-        m = np.array(self.p, dtype=np.float64)
+        m = np.array(self.p)
+        if np.iscomplexobj(m):
+            raise ValueError("channel entries must be real")
+        m = m.astype(np.float64, copy=False)
         if m.shape != (2, 2):
             raise ValueError(f"channel matrix must be 2x2, got {m.shape}")
         (p00, p01), (p10, p11) = m.tolist()
@@ -48,8 +53,6 @@ class BinaryChannel:
 
 def bsc(crossover: float) -> BinaryChannel:
     """Binary symmetric channel."""
-    if not 0.0 <= crossover <= 1.0:
-        raise ValueError(f"crossover must lie in [0, 1], got {crossover}")
     return BinaryChannel(np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]]))
 
 
@@ -64,7 +67,10 @@ class JointDistribution:
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("variable names must be distinct")
         # a private copy: freezing it leaves the caller's array writable
-        t = np.array(self.table, dtype=np.float64).reshape((2,) * len(self.vars))
+        t = np.array(self.table)
+        if np.iscomplexobj(t):
+            raise ValueError("probabilities must be real")
+        t = t.astype(np.float64, copy=False).reshape((2,) * len(self.vars))
         # tables here have at most 16 entries: Python floats beat numpy reductions
         vals = t.reshape(-1).tolist()
         if not all(map(math.isfinite, vals)):
@@ -168,64 +174,68 @@ def cascade_joint_channels(zero_channel: BinaryChannel, one_channel: BinaryChann
     return JointDistribution(vars=("S", "X", "Y", "Z"), table=table)
 
 
-def cascade_joint(epsilon: float, pe: float) -> JointDistribution:
-    """Degraded-broadcast cascade with symmetric crossovers epsilon and pe."""
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
+def _check_crossovers(pe: float, epsilon: float) -> None:
     if not 0.0 <= pe <= 0.5:
         raise ValueError(f"pe must lie in [0, 0.5], got {pe}")
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
+
+
+def cascade_joint(epsilon: float, pe: float) -> JointDistribution:
+    """Degraded-broadcast cascade with symmetric crossovers epsilon and pe."""
+    _check_crossovers(pe, epsilon)
     return cascade_joint_channels(bsc(epsilon), bsc(pe))
 
 
 def marginal(joint: JointDistribution, keep: tuple[str, ...]) -> JointDistribution:
     """Marginal distribution over the named variables, in the given order."""
+    return JointDistribution(vars=keep, table=_marginal_table(joint, keep))
+
+
+def _marginal_table(joint: JointDistribution, keep: tuple[str, ...]) -> np.ndarray:
+    """The marginal table of an already validated joint law, axes in keep order."""
     axes = tuple(joint.axis(name) for name in keep)
     drop = tuple(i for i in range(len(joint.vars)) if i not in axes)
     summed = joint.table.sum(axis=drop) if drop else joint.table
     # summing keeps surviving axes in original order; permute to keep order
     ranks = [sorted(axes).index(a) for a in axes]
-    return JointDistribution(vars=keep, table=np.transpose(summed, ranks))
+    return np.transpose(summed, ranks)
 
 
 def mutual_information(joint: JointDistribution, var_a: str, var_b: str) -> float:
     """I(A:B) in nats by direct summation."""
-    info = 0.0
-    for term in _info_terms(marginal(joint, (var_a, var_b)).table, 1.0):
-        info += term
-    return info
+    return _information([(_marginal_table(joint, (var_a, var_b)), 1.0)])
 
 
 def conditional_mutual_information(
     joint: JointDistribution, var_a: str, var_b: str, var_cond: str
 ) -> float:
     """I(A:B|C) in nats; null conditioning events contribute zero."""
-    pabc = marginal(joint, (var_a, var_b, var_cond)).table
-    info = 0.0
-    for c in range(2):
-        pc = float(pabc[:, :, c].sum())
-        if pc > 0.0:
-            for term in _info_terms(pabc[:, :, c], pc):
-                info += term
-    return info
+    pabc = _marginal_table(joint, (var_a, var_b, var_cond))
+    return _information([(pabc[:, :, c], float(pabc[:, :, c].sum())) for c in range(2)])
 
 
-def _info_terms(pab: np.ndarray, pc: float):
-    """The terms p ln(p pc / (pa pb)) over the positive entries p of a 2x2 table.
+def _information(slices) -> float:
+    """Sum of p ln(p w / (pa pb)) over the positive entries p of weighted 2x2 tables.
 
-    pa and pb are the table's row and column sums. The quotient keeps the
-    most accuracy, but a product of tiny probabilities can underflow, and
-    the quotient would then overflow or divide by zero; there the logs of
-    the factors are summed instead.
+    slices holds (table, w) pairs; pa and pb are a table's row and column
+    sums and w its total mass (1 for a whole joint law), so a table with no
+    positive entry adds nothing. The quotient keeps the most accuracy, but a product of tiny
+    probabilities can underflow, and the quotient would then overflow or
+    divide by zero; there the logs of the factors are summed instead.
     """
-    pa, pb = pab.sum(axis=1).tolist(), pab.sum(axis=0).tolist()
-    for i, row in enumerate(pab.tolist()):
-        for j, p in enumerate(row):
-            if p > 0.0:
-                num, den = p * pc, pa[i] * pb[j]
-                if num > 0.0 and den >= sys.float_info.min:
-                    yield p * math.log(num / den)
-                else:
-                    yield p * (math.log(p) + math.log(pc) - math.log(pa[i]) - math.log(pb[j]))
+    info = 0.0
+    for pab, w in slices:
+        pa, pb = pab.sum(axis=1).tolist(), pab.sum(axis=0).tolist()
+        for i, row in enumerate(pab.tolist()):
+            for j, p in enumerate(row):
+                if p > 0.0:
+                    num, den = p * w, pa[i] * pb[j]
+                    if num > 0.0 and den >= sys.float_info.min:
+                        info += p * math.log(num / den)
+                    else:
+                        info += p * (math.log(p) + math.log(w) - math.log(pa[i]) - math.log(pb[j]))
+    return info
 
 
 def binary_convolution(a: float, b: float) -> float:
@@ -239,10 +249,7 @@ def rate_region_closed_form(pe: float, epsilon: float) -> RatePoint:
     r1 bounds the fine branch I(X:Y|S), r2 the coarse branch I(S:Z); both
     depend on the quantum layer only through the decoding error pe.
     """
-    if not 0.0 <= pe <= 0.5:
-        raise ValueError(f"pe must lie in [0, 0.5], got {pe}")
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
+    _check_crossovers(pe, epsilon)
     conv = binary_convolution(epsilon, pe)
     return RatePoint(
         r1=binary_entropy(conv) - binary_entropy(pe),

@@ -273,7 +273,8 @@ class TestGoldenBytes:
             ("discriminate --theta 1e-15", "14fe298af190"),
             ("clone --theta 0.9 --phi 3.141592653589793", "4879db560702"),
             ("rates --theta 1e-7 --epsilon 0.5", "0115e44210d0"),
-            (f"sweep --theta-grid 0:{PI_2}:41 --phi 0.4 --epsilon 0.1", "4660ce638bca"),
+            ("rates --theta 1.2 --epsilon 0.1", "4d2b456a10de"),
+            (f"sweep --theta-grid 0:{PI_2}:41 --phi 0.4 --epsilon 0.1", "081aa4aebab1"),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):

@@ -19,7 +19,7 @@ from qbc.cloner import (
     optimal_params,
     unitary_completion,
 )
-from qbc.discrimination import helstrom, pure_pair_error
+from qbc.discrimination import binary_entropy, helstrom, pure_pair_error
 from qbc.errors import InfeasibleParamsError, SingularExpansionError
 from qbc.optimizer import _clone_params, _orbit_vector, random_feasible_params
 
@@ -71,6 +71,15 @@ class TestCloneParamsType:
         with pytest.raises(ValueError):
             CloneParams(a0=1, b0=0.1, c0=0.2, d0=0, a1=0, b1=0, c1=0, d1=1)
 
+    def test_rejects_non_finite(self):
+        # NaN != NaN: without the finiteness check a NaN b0 reads as asymmetric
+        for value in (math.inf, -math.inf, math.nan):
+            for name in ("a0", "b0", "d1"):
+                coeffs = dict(a0=0.1, b0=0.2, d0=0.3, a1=0.4, b1=0.5, d1=0.6)
+                coeffs[name] = value
+                with pytest.raises(ValueError, match="coefficients must be finite"):
+                    CloneParams.symmetric(**coeffs)
+
     def test_xy_round_trip(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -98,12 +107,6 @@ class TestCloneState:
         bad = CloneParams.symmetric(a0=1.1, b0=0, d0=0, a1=0, b1=0, d1=1)
         with pytest.raises(InfeasibleParamsError):
             clone_state(bad, 0)
-
-    def test_rejects_non_finite_rows(self):
-        for value in (math.inf, -math.inf, math.nan):
-            bad = CloneParams.symmetric(a0=value, b0=0, d0=0, a1=0, b1=0, d1=1)
-            with pytest.raises(ValueError, match="finite"):
-                clone_state(bad, 0)
 
 
 class TestMarginals:
@@ -287,7 +290,19 @@ def reference_error_and_entropy(theta):
             term = -term * x * x / ((2 * k) * (2 * k + 1))
             sin_x += term
         pe = sin_x * sin_x
-        return pe, -pe * pe.ln() - (1 - pe) * (1 - pe).ln()
+    return pe, reference_entropy(pe)
+
+
+def reference_entropy(p):
+    """h(p) at the exact value of p (a float or a Decimal), to 40 digits.
+
+    The working precision grows with the leading zeros of p, so 1 - p keeps
+    the digits that (1 - p) ln(1 - p), about -p, needs.
+    """
+    p = Decimal(p)
+    with localcontext() as ctx:
+        ctx.prec = 80 - min(0, p.adjusted())
+        return -p * p.ln() - (1 - p) * (1 - p).ln()
 
 
 def accuracy_grid():
@@ -299,7 +314,7 @@ def accuracy_grid():
 
 
 class TestRelativeAccuracy:
-    """p_e and the clone entanglement keep the relative bound 2^-50 stated in their docstrings."""
+    """p_e, the binary entropy and the clone entanglement keep the relative bound 2^-50 of their docstrings."""
 
     def test_against_decimal_reference(self):
         bound = Decimal(2) ** -50
@@ -308,6 +323,15 @@ class TestRelativeAccuracy:
             got_pe, got_h = pure_pair_error(theta), clone_entanglement(theta, 0.0)
             assert abs(Decimal(got_pe) / ref_pe - 1) <= bound, theta
             assert abs(Decimal(got_h) / ref_h - 1) <= bound, theta
+
+    def test_binary_entropy_against_decimal_reference(self):
+        # log-spaced toward 0 and toward 1, uniform, and both sides of the log1p switch at 1/4
+        near_1 = [1.0 - d for d in np.geomspace(2.0**-53, 0.5, 200).tolist()]
+        uniform = np.random.default_rng(19).uniform(0.0, 1.0, 200).tolist()
+        ends = [2.5e-17, math.nextafter(0.25, 0.0), 0.25, 0.5]
+        bound = Decimal(2) ** -50
+        for x in np.geomspace(1e-300, 0.5, 200).tolist() + near_1 + uniform + ends:
+            assert abs(Decimal(binary_entropy(x)) / reference_entropy(x) - 1) <= bound, x
 
 
 class TestCloneEntanglement:

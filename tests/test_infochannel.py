@@ -1,7 +1,9 @@
 """Induced channels, the degraded cascade, and the rate region."""
 
 import hashlib
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -206,6 +208,9 @@ class TestCascadeJoint:
             cascade_joint(0.7, 0.1)
         with pytest.raises(ValueError):
             cascade_joint(0.1, -0.2)
+        # one check serves the cascade and the closed form, pe first
+        with pytest.raises(ValueError, match="pe must lie"):
+            cascade_joint(0.7, 0.9)
 
 
 class TestInformationFunctionals:
@@ -264,6 +269,38 @@ class TestInformationFunctionals:
         )
 
 
+class TestInformationGoldenBytes:
+    """sha1 prefix of the information layer on inputs that no CLI command prints.
+
+    rate_region_oracle runs on a (pe, epsilon) grid with tiny and subnormal
+    crossovers, and mutual information, conditional mutual information and
+    marginal on seeded C-ordered random tables of 2 to 4 variables. No LAPACK
+    runs, so no BLAS build moves these bytes. A change here is to be recorded
+    in CHANGES.md.
+    """
+
+    GRID = (0.0, 5e-324, 1e-300, 3e-224, 1e-200, 1e-100, 1e-17, 1e-8, 1e-3, 0.1, 0.2, 0.25, 0.3, 0.4, 0.49, 0.5)
+
+    def test_golden_bytes(self):
+        h = hashlib.sha1()
+        for pe in self.GRID:
+            for eps in self.GRID:
+                h.update(struct.pack("<2d", *rate_region_oracle(pe, eps)))
+        rng = np.random.default_rng(2024)
+        for k in range(90):
+            n = 2 + k % 3
+            t = rng.random((2,) * n) * (rng.random((2,) * n) < 0.8)
+            joint = JointDistribution(vars=tuple("ABCD"[:n]), table=t / t.sum())
+            for a, b in itertools.permutations(joint.vars, 2):
+                h.update(struct.pack("<d", mutual_information(joint, a, b)))
+                h.update(marginal(joint, (a, b)).table.tobytes())
+                for c in joint.vars:
+                    if c not in (a, b):
+                        h.update(struct.pack("<d", conditional_mutual_information(joint, a, b, c)))
+                        h.update(marginal(joint, (a, b, c)).table.tobytes())
+        assert h.hexdigest()[:12] == "77905935d0fb"
+
+
 class TestRateRegion:
     def test_epsilon_zero_endpoint(self):
         pt = rate_region_closed_form(0.25, 0.0)
@@ -293,9 +330,12 @@ class TestRateRegion:
                 assert closed.r2 == pytest.approx(brute.r2, abs=1e-12)
 
     def test_tradeoff_monotonicity(self):
-        pts = [rate_region_closed_form(0.2, 0.5 * k / 199) for k in range(200)]
-        assert all(b.r1 >= a.r1 for a, b in zip(pts, pts[1:]))
-        assert all(b.r2 <= a.r2 for a, b in zip(pts, pts[1:]))
+        # exact in epsilon, also where the convolved crossover passes the
+        # log1p switch of binary_entropy at 1/4
+        for i in range(201):
+            pts = [rate_region_closed_form(0.5 * i / 200, 0.5 * j / 499) for j in range(500)]
+            assert all(b.r1 >= a.r1 for a, b in zip(pts, pts[1:])), i
+            assert all(b.r2 <= a.r2 for a, b in zip(pts, pts[1:])), i
 
     def test_quantum_layer_end_to_end(self):
         for theta in (0.0, 0.5, 1.0, math.pi / 2):
@@ -323,6 +363,19 @@ class TestChannelValidation:
         # every comparison with NaN is false, so range checks alone pass it
         with pytest.raises(ValueError, match="finite"):
             BinaryChannel(np.array([[math.nan, 0.5], [math.nan, 0.5]]))
+
+    def test_rejects_complex(self):
+        # the cast to float would drop the imaginary parts, with only a warning
+        with pytest.raises(ValueError, match="channel entries must be real"):
+            BinaryChannel(np.array([[0.9 + 1j, 0.1], [0.1, 0.9]]))
+        with pytest.raises(ValueError, match="probabilities must be real"):
+            JointDistribution(vars=("A", "B"), table=np.array([[0.25 + 1j, 0.25], [0.25, 0.25]]))
+
+    def test_bsc_range_checked_by_channel(self):
+        with pytest.raises(ValueError, match=r"channel entries must lie in \[0, 1\]"):
+            bsc(1.5)
+        with pytest.raises(ValueError, match="channel entries must be finite"):
+            bsc(math.nan)
 
     def test_caller_array_stays_writable(self):
         p = np.array([[0.9, 0.2], [0.1, 0.8]])
