@@ -1,12 +1,14 @@
 """Multi-start re-derivation of the cloning optimum."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
 from qbc import tolerances as tol
-from qbc._kernels import clone_lambda, rotate, rotation_grad
+from qbc._kernels import ascend
 from qbc.cloner import (
     CloneParams,
     constraint_residuals,
@@ -73,28 +75,94 @@ class TestProjectToFeasible:
         np.testing.assert_array_equal(p.row(0), p.row(1))
 
 
+def _rotate(x, phi):
+    """exp([phi]x) x by Rodrigues' formula, for a nonzero rotation vector phi."""
+    angle = math.sqrt(sum(p * p for p in phi))
+    k = [p / angle for p in phi]
+    kx = sum(ki * xi for ki, xi in zip(k, x)) * (2.0 * math.sin(0.5 * angle) ** 2)
+    kcx = np.cross(k, x)
+    return tuple(xi * math.cos(angle) + ci * math.sin(angle) + ki * kx for xi, ci, ki in zip(x, kcx, k))
+
+
+def _lambda(v, d):
+    """The objective at u0 = v, u1 = v + d, with both squares products with d."""
+    v0, v1, v2 = v
+    d0, d1, d2 = d
+    sd = d0 + d1
+    g = v2 * d0 + d2 * (v0 + d0)
+    q = sd * (v0 + v1 + 0.5 * sd) + d2 * (v2 + 0.5 * d2)
+    return g * g + q * q
+
+
 class TestGradient:
-    def test_matches_central_differences(self):
-        """omega against derivatives of lambda(exp([h w]x) R) along axes and omega."""
+    def test_matches_central_differences(self, monkeypatch):
+        """omega against derivatives of lambda(exp([h w]x) R) along axes and omega.
+
+        ascend reports lambda and |omega| at its start when capped at 0
+        steps. Capped at 1, its one step is the rotation exp([t omega]x) with
+        t > 0, so that rotation's axis is omega / |omega|.
+        """
         rng = np.random.default_rng(43)
         h = 1e-5
         for _ in range(100):
             theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi / 2)))
             psi = tuple(rng.standard_normal(3).tolist())
-            v = rotate((1.0, 0.0, 0.0), psi)
-            b = rotate((0.0, 1.0, 0.0), psi)
+            v = _rotate((1.0, 0.0, 0.0), psi)
+            b = _rotate((0.0, 1.0, 0.0), psi)
             c1, c2 = -2.0 * math.sin(theta / 2) ** 2, math.sin(theta)
             d = tuple(c1 * vi + c2 * bi for vi, bi in zip(v, b))
+            rot = np.column_stack([v, b, np.cross(v, b)])
+            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
+            _, lam, gnorm, _, _ = ascend(rot, theta)
+            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 1)
+            point, _, _, iters, _ = ascend(rot, theta)
+            assert iters == 1
             # the cancellation-free objective against the coefficient form
             w = tuple(vi + di for vi, di in zip(v, d))
-            assert clone_lambda(v, d) == pytest.approx(lambda_objective(_clone_params((*v, *w))), rel=1e-8)
-            omega = np.array(rotation_grad(v, d))
+            assert _lambda(v, d) == pytest.approx(lam, rel=1e-12)
+            assert lam == pytest.approx(lambda_objective(_clone_params((*v, *w))), rel=1e-8)
+            v_s = np.array(point[:3])
+            d_s = np.array(point[3:]) - v_s
+            frame = np.column_stack([v, d, np.cross(v, d)])
+            step = np.linalg.solve(frame.T, np.column_stack([v_s, d_s, np.cross(v_s, d_s)]).T).T
+            axis = np.array([step[2, 1] - step[1, 2], step[0, 2] - step[2, 0], step[1, 0] - step[0, 1]])
+            axis /= np.linalg.norm(axis)
+            omega = gnorm * axis
             s2 = math.sin(theta) ** 2
-            for w in [*np.eye(3), omega / np.linalg.norm(omega)]:
-                up = clone_lambda(rotate(v, tuple(h * w)), rotate(d, tuple(h * w)))
-                dn = clone_lambda(rotate(v, tuple(-h * w)), rotate(d, tuple(-h * w)))
+            for w in [*np.eye(3), axis]:
+                up = _lambda(_rotate(v, tuple(h * w)), _rotate(d, tuple(h * w)))
+                dn = _lambda(_rotate(v, tuple(-h * w)), _rotate(d, tuple(-h * w)))
                 fd = (up - dn) / (2 * h)
                 assert np.dot(omega, w) == pytest.approx(fd, abs=1e-8 * s2)
+
+
+def _quaternion_rotation(w, x, y, z):
+    """The rotation matrix of the quaternion (w, x, y, z), normalized first."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def test_ascent_golden_digest():
+    """The ascent's end points, objectives, gradients and counts, bit for bit.
+
+    Starts are built without LAPACK, so the digest pins the ascent alone, from
+    theta = 0 through tiny theta (sin^2 down to 1e-300) to pi/2.
+    """
+    rng = random.Random(2026)
+    digest = hashlib.sha1()
+    thetas = (0.0, 1e-150, 1e-80, 1e-8, 1e-6, 1e-3, math.pi / 48, 0.3, 0.8, 1.2, math.pi / 2 - 1e-9, math.pi / 2)
+    for theta in thetas:
+        for _ in range(32):
+            rot = _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
+            digest.update(repr(ascend(rot, theta)).encode())
+    assert digest.hexdigest()[:12] == "7fac90d2a8b7"
 
 
 class TestMaximizeLambda:
