@@ -228,11 +228,13 @@ def _suite_cloner(seed: int) -> list[CheckResult]:
 
 def _suite_optimizer(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
-    grid = CheckResult("optimizer", "grid_optimum", 1e-6)
+    # relative gap |lambda_max / sin^2(theta) - 1|; lambda_max itself at theta = 0
+    grid = CheckResult("optimizer", "grid_optimum", 1e-9)
     for k in range(25):
         theta = (math.pi / 2) * k / 24
         report = maximize_lambda(theta, OptimizerConfig(n_starts=32, seed=seed + k))
-        grid.add(abs(report.lambda_max - math.sin(theta) ** 2), f"theta={theta}")
+        s2 = math.sin(theta) ** 2
+        grid.add(abs(report.lambda_max / s2 - 1.0) if s2 else report.lambda_max, f"theta={theta}")
 
     upper = CheckResult("optimizer", "upper_bound", tol.FEASIBILITY_TOL)
     for k in range(1000):

@@ -149,20 +149,57 @@ def _quaternion_rotation(w, x, y, z):
     )
 
 
-def test_ascent_golden_digest():
-    """The ascent's end points, objectives, gradients and counts, bit for bit.
+def _golden_starts():
+    """(theta, rotation) pairs: 32 quaternion starts at each of 12 angles.
 
-    Starts are built without LAPACK, so the digest pins the ascent alone, from
-    theta = 0 through tiny theta (sin^2 down to 1e-300) to pi/2.
+    Starts are built without LAPACK, from theta = 0 through tiny theta
+    (sin^2 down to 1e-300) to pi/2.
     """
     rng = random.Random(2026)
-    digest = hashlib.sha1()
     thetas = (0.0, 1e-150, 1e-80, 1e-8, 1e-6, 1e-3, math.pi / 48, 0.3, 0.8, 1.2, math.pi / 2 - 1e-9, math.pi / 2)
     for theta in thetas:
         for _ in range(32):
+            yield theta, _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
+
+
+def test_ascent_golden_digest():
+    """The ascent's end points, objectives, gradients and counts, bit for bit."""
+    digest = hashlib.sha1()
+    for theta, rot in _golden_starts():
+        digest.update(repr(ascend(rot, theta)).encode())
+    assert digest.hexdigest()[:12] == "2e7a1aaf5309"
+
+
+def test_ascent_iteration_count():
+    """The two-point step length halves the iterations of a fixed step.
+
+    At the optimum the curvatures are -8 and -2 sin^2(theta), so no fixed
+    step shrinks |omega| by more than 0.6 per iteration; the doubling ladder
+    takes about 30 iterations per start here.
+    """
+    iters = []
+    for theta, rot in _golden_starts():
+        _, _, _, it, converged = ascend(rot, theta)
+        assert converged, theta
+        if theta > 0.0:
+            iters.append(it)
+    assert len(iters) == 11 * 32
+    assert sum(iters) / len(iters) <= 16.0
+
+
+def test_ascent_is_monotone_in_the_iteration_cap(monkeypatch):
+    """Capped at k steps, the ascent returns a lambda nondecreasing in k."""
+    rng = random.Random(48)
+    for theta in (1e-6, math.pi / 48, 0.8, math.pi / 2):
+        for _ in range(16):
             rot = _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
-            digest.update(repr(ascend(rot, theta)).encode())
-    assert digest.hexdigest()[:12] == "7fac90d2a8b7"
+            last = -math.inf
+            for k in range(26):
+                monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", k)
+                _, lam, _, it, _ = ascend(rot, theta)
+                assert it <= k
+                assert lam >= last, (theta, k)
+                last = lam
 
 
 class TestMaximizeLambda:
