@@ -1,7 +1,7 @@
 """Broadcast cloning of a two-state qubit source.
 
 Library layout:
-  hilbert         kets, operators, partial traces, eigensolver, entropy
+  hilbert         kets, outer products, partial traces, eigensolver, entropy
   discrimination  minimum-error two-state measurements
   cloner          the symmetric cloning family, its objective, entanglement
   optimizer       multi-start ascent over SO(3) re-deriving the optimum
@@ -19,8 +19,6 @@ from .cloner import (
     marginal_closed_form,
     marginals,
     optimal_params,
-    unitary_completion,
-    ancilla_row,
 )
 from .discrimination import (
     BinaryPOVM,
@@ -36,19 +34,14 @@ from .errors import (
     InfeasibleParamsError,
     OptimizationFailure,
     ProjectionError,
-    SingularExpansionError,
 )
 from .hilbert import (
     EigDecomposition,
     basis,
     hermitian_eig,
-    inner_product,
     ket,
-    operator,
     outer,
     partial_trace,
-    tensor,
-    tensor_op,
     von_neumann_entropy,
 )
 from .infochannel import (
@@ -63,7 +56,6 @@ from .infochannel import (
     conditional_mutual_information,
     induced_channel,
     joint_clone_channel,
-    marginal,
     mutual_information,
     rate_region_closed_form,
     rate_region_oracle,

@@ -25,7 +25,7 @@ import numpy as np
 from . import hilbert
 from . import tolerances as tol
 from .discrimination import binary_entropy, check_phi, check_theta, pure_pair_error
-from .errors import InfeasibleParamsError, SingularExpansionError
+from .errors import InfeasibleParamsError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -144,36 +144,6 @@ def lambda_objective(params: CloneParams) -> float:
     )
     g2 = params.a1**2 + params.b1**2 - params.a0**2 - params.b0**2
     return g1 * g1 + g2 * g2
-
-
-def ancilla_row(params: CloneParams, theta: float) -> np.ndarray:
-    """Coefficients of the map's action on the orthogonal input |1_perp>|blank>.
-
-    Recovered by linearity: (row1 - cos(theta) row0) / sin(theta). Undefined
-    at theta = 0 where the two input states coincide.
-    """
-    check_theta(theta)
-    if theta == 0.0:
-        raise SingularExpansionError("theta = 0: the orthogonal-input row is unconstrained")
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    return (params.row(1) - ct * params.row(0)) / st
-
-
-def unitary_completion(params: CloneParams, theta: float) -> np.ndarray:
-    """Diagnostic full 4x4 unitary extending the isometry (complete QR).
-
-    Columns 0 and 2 (inputs |0,blank> and |1_perp,blank>) are fixed by the
-    parameters; the remaining two columns are the orthonormal complement of
-    their span from a complete QR factorization, and carry no physical
-    meaning. Column 2 divides by sin(theta), so on feasible parameters
-    max |U^H U - I| <= 2^-49 / sin(theta).
-    """
-    fixed = np.column_stack([params.row(0), ancilla_row(params, theta)])
-    free = np.linalg.qr(fixed, mode="complete").Q
-    u = np.column_stack([fixed[:, 0], free[:, 2], fixed[:, 1], free[:, 3]]).astype(np.complex128)
-    u.setflags(write=False)
-    return u
 
 
 def clone_entanglement(theta: float, phi: float) -> float:

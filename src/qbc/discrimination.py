@@ -39,8 +39,8 @@ class BinaryPOVM:
     def __post_init__(self):
         # private copies: freezing them leaves the caller's arrays writable
         pi0, pi1 = np.array(self.pi0), np.array(self.pi1)
-        if pi0.shape != pi1.shape:
-            raise ValueError("POVM elements must share a dimension")
+        if pi0.shape != pi1.shape or pi0.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"POVM elements must both be 2x2 or 4x4, got {pi0.shape} and {pi1.shape}")
         sums = [a + b for a, b in zip(pi0.ravel().tolist(), pi1.ravel().tolist())]
         for k in range(0, pi0.size, pi0.shape[0] + 1):
             sums[k] -= 1.0

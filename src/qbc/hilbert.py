@@ -57,16 +57,6 @@ def basis(dim: int, index: int) -> np.ndarray:
     return _readonly(amp)
 
 
-def operator(entries) -> np.ndarray:
-    """Build an operator matrix (dim 2 or 4) from nested entries."""
-    m = np.asarray(entries, dtype=np.complex128).copy()
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS:
-        raise ValueError(f"operator must be square with dim 2 or 4, got {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("operator entries must be finite")
-    return _readonly(m)
-
-
 def require_normalized(a: np.ndarray) -> None:
     norm2 = float(np.vdot(a, a).real)
     if abs(norm2 - 1.0) > tol.VALIDATION_TOL:
@@ -94,28 +84,6 @@ def _max_abs(values) -> float:
     """
     mags = [math.hypot(z.real, z.imag) for z in values]
     return math.nan if math.isnan(sum(mags)) else max(mags)
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with the conjugation on the first argument."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two dim-2 kets; component 2j+k is a_j * b_k."""
-    if a.shape != (2,) or b.shape != (2,):
-        raise ValueError("tensor expects two dim-2 kets")
-    return _readonly((a[:, None] * b[None, :]).reshape(4))
-
-
-def tensor_op(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two dim-2 operators; entry (2i+k, 2j+l) is a_ij * b_kl."""
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("tensor_op expects two 2x2 operators")
-    # one multiply per entry, as np.kron does, without its generic set-up
-    return _readonly((a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4))
 
 
 def outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

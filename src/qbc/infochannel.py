@@ -187,11 +187,6 @@ def cascade_joint(epsilon: float, pe: float) -> JointDistribution:
     return cascade_joint_channels(bsc(epsilon), bsc(pe))
 
 
-def marginal(joint: JointDistribution, keep: tuple[str, ...]) -> JointDistribution:
-    """Marginal distribution over the named variables, in the given order."""
-    return JointDistribution(vars=keep, table=_marginal_table(joint, keep))
-
-
 def _marginal_table(joint: JointDistribution, keep: tuple[str, ...]) -> np.ndarray:
     """The marginal table of an already validated joint law, axes in keep order."""
     axes = tuple(joint.axis(name) for name in keep)

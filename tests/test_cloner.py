@@ -9,7 +9,6 @@ import pytest
 from qbc import hilbert
 from qbc.cloner import (
     CloneParams,
-    ancilla_row,
     clone_entanglement,
     clone_state,
     constraint_residuals,
@@ -17,10 +16,9 @@ from qbc.cloner import (
     marginal_closed_form,
     marginals,
     optimal_params,
-    unitary_completion,
 )
 from qbc.discrimination import binary_entropy, helstrom, pure_pair_error
-from qbc.errors import InfeasibleParamsError, SingularExpansionError
+from qbc.errors import InfeasibleParamsError
 from qbc.optimizer import _clone_params, _orbit_vector, random_feasible_params
 
 H_QUARTER = 0.5623351446188083  # -0.25 ln 0.25 - 0.75 ln 0.75
@@ -99,7 +97,7 @@ class TestCloneState:
     def test_overlap_preserved(self):
         for theta, phi in theta_phi_grid():
             p = optimal_params(theta, phi)
-            ov = hilbert.inner_product(clone_state(p, 1), clone_state(p, 0))
+            ov = np.vdot(clone_state(p, 1), clone_state(p, 0))
             assert ov.real == pytest.approx(math.cos(theta), abs=1e-12)
             assert ov.imag == 0.0
 
@@ -224,51 +222,6 @@ class TestConstraintResiduals:
             a1=math.cos(theta), b1=math.sin(theta) / math.sqrt(2), d1=0.0,
         )
         assert np.max(np.abs(constraint_residuals(p, theta))) < 1e-15
-
-
-class TestAncillaRow:
-    def test_orthogonal_point(self):
-        row = ancilla_row(optimal_params(math.pi / 2, 0.0), math.pi / 2)
-        np.testing.assert_allclose(row, [0, 0, 0, -1], atol=1e-15)
-
-    def test_linearity_identity(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            theta = rng.uniform(0.05, math.pi / 2)
-            p = random_feasible_params(theta, rng)
-            row = ancilla_row(p, theta)
-            rebuilt = math.cos(theta) * p.row(0) + math.sin(theta) * row
-            np.testing.assert_allclose(rebuilt, p.row(1), atol=1e-12)
-
-    def test_theta_zero_is_singular(self):
-        with pytest.raises(SingularExpansionError):
-            ancilla_row(optimal_params(0.0, 0.0), 0.0)
-
-
-class TestUnitaryCompletion:
-    def test_unitary_and_matches_rows(self):
-        rng = np.random.default_rng(31)
-        # Gram-Schmidt from the unit vectors loses orthogonality here (9.3e-12)
-        cases = [(0.22469920164591928, optimal_params(0.22469920164591928, 3.141833127778564))]
-        for _ in range(2000):
-            theta = rng.uniform(0.05, math.pi / 2)
-            cases.append((theta, random_feasible_params(theta, rng)))
-        for theta, p in cases:
-            u = unitary_completion(p, theta)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-            np.testing.assert_allclose(u[:, 0].real, p.row(0), atol=1e-12)
-            np.testing.assert_allclose(u[:, 2].real, ancilla_row(p, theta), atol=1e-12)
-
-    def test_accuracy_as_theta_goes_to_zero(self):
-        """max |U^H U - I| <= 2^-49 / sin(theta) on a log grid of theta down to 1e-12."""
-        rng = np.random.default_rng(32)
-        for theta in np.geomspace(1e-12, math.pi / 2, 200).tolist():
-            for k in range(12):
-                phi = 2 * math.pi * k / 12
-                for p in (optimal_params(theta, phi), random_feasible_params(theta, rng)):
-                    u = unitary_completion(p, theta)
-                    dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-                    assert dev <= 2.0**-49 / math.sin(theta), (theta, phi, p)
 
 
 # pi to 80 digits, for the decimal reference below

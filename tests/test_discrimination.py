@@ -137,8 +137,8 @@ class TestHelstrom:
         # where numpy's complex multiply uses fused multiply-adds
         k = hilbert.ket(np.array([0.6 + 0.1j, 0.3 - 0.734j]) / math.hypot(0.6, 0.1, 0.3, 0.734))
         e0 = hilbert.basis(2, 0)
-        rho0 = hilbert.outer(hilbert.tensor(k, hilbert.ket([0.8, 0.6j])))
-        rho1 = hilbert.outer(hilbert.tensor(e0, k))
+        rho0 = hilbert.outer(np.kron(k, [0.8, 0.6j]))
+        rho1 = hilbert.outer(np.kron(e0, k))
         for pi in (helstrom(rho0, rho1).povm.pi1, helstrom(rho1, rho0).povm.pi0):
             assert np.array_equal(pi, pi.conj().T)
 
@@ -212,6 +212,15 @@ class TestBinaryPOVMValidation:
                 pi0=np.diag([2.0, 0.0]).astype(complex),
                 pi1=np.diag([-1.0, 1.0]).astype(complex),
             )
+
+    def test_rejects_non_square_elements(self):
+        # a 0-d element used to raise IndexError from its missing shape[0]
+        bad = (1.0, np.ones(2), np.ones((2, 2, 2)), np.ones((2, 3)), np.eye(3))
+        for elem in bad:
+            with pytest.raises(ValueError, match="2x2 or 4x4, got"):
+                BinaryPOVM(pi0=elem, pi1=np.zeros_like(elem))
+        with pytest.raises(ValueError, match=r"got \(2, 2\) and \(4, 4\)"):
+            BinaryPOVM(pi0=np.eye(2), pi1=np.zeros((4, 4)))
 
     def test_rejects_nan(self):
         # every comparison with NaN is false, so range checks alone pass it

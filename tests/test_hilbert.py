@@ -1,4 +1,4 @@
-"""Linear-algebra layer: products, partial traces, eigensolver, entropy."""
+"""Linear-algebra layer: outer products, partial traces, eigensolver, entropy."""
 
 import math
 
@@ -40,30 +40,6 @@ def two_by_two_eigs(m):
     return (tr - root) / 2.0, (tr + root) / 2.0
 
 
-class TestInnerProduct:
-    def test_normalized_self_overlap(self):
-        k = hilbert.ket([0.6, 0.8])
-        assert hilbert.inner_product(k, k) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthonormal_basis(self):
-        assert hilbert.inner_product(hilbert.basis(2, 0), hilbert.basis(2, 1)) == 0
-
-    def test_overlap_cos_theta(self):
-        theta = math.pi / 3
-        k = hilbert.ket([math.cos(theta), math.sin(theta)])
-        assert hilbert.inner_product(hilbert.basis(2, 0), k) == pytest.approx(0.5, abs=1e-12)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(3)
-        a = hilbert.ket(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        b = hilbert.ket(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert hilbert.inner_product(a, b) == np.conj(hilbert.inner_product(b, a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hilbert.inner_product(hilbert.basis(2, 0), hilbert.basis(4, 0))
-
-
 class TestOuter:
     def test_projector_is_exactly_hermitian(self):
         # with fused multiply-adds, this projector gets diagonal imaginary parts near 1e-17
@@ -91,44 +67,9 @@ class TestOuter:
             hilbert.outer(np.eye(2, dtype=complex))
 
 
-class TestTensor:
-    def test_basis_products(self):
-        k0, k1 = hilbert.basis(2, 0), hilbert.basis(2, 1)
-        np.testing.assert_array_equal(hilbert.tensor(k0, k0), [1, 0, 0, 0])
-        np.testing.assert_array_equal(hilbert.tensor(k1, k0), [0, 0, 1, 0])
-
-    def test_bilinearity(self):
-        plus = hilbert.ket([1 / math.sqrt(2), 1 / math.sqrt(2)])
-        got = hilbert.tensor(plus, hilbert.basis(2, 1))
-        np.testing.assert_allclose(got, [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)], atol=1e-15)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            t = hilbert.tensor(hilbert.ket(a), hilbert.ket(b))
-            assert np.vdot(t, t).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_dim4(self):
-        with pytest.raises(ValueError):
-            hilbert.tensor(hilbert.basis(4, 0), hilbert.basis(2, 0))
-
-    def test_bytes_match_kron(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a, b, c, d = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-            assert hilbert.tensor(a[0], b[1]).tobytes() == np.kron(a[0], b[1]).tobytes()
-            assert hilbert.tensor_op(c, d).tobytes() == np.kron(c, d).tobytes()
-            got = hilbert.tensor_op(c.real.copy(), d.real.copy())
-            want = np.kron(c.real, d.real)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 class TestPartialTrace:
     def test_product_state(self):
-        t = hilbert.tensor(hilbert.basis(2, 0), hilbert.basis(2, 1))
+        t = hilbert.ket(np.kron(hilbert.basis(2, 0), hilbert.basis(2, 1)))
         np.testing.assert_allclose(
             hilbert.partial_trace(t, "second"), [[1, 0], [0, 0]], atol=1e-15
         )
@@ -152,7 +93,7 @@ class TestPartialTrace:
         for _ in range(50):
             a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            t = hilbert.tensor(hilbert.ket(a / np.linalg.norm(a)), hilbert.ket(b / np.linalg.norm(b)))
+            t = hilbert.ket(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
             for side in ("first", "second"):
                 reduced = hilbert.partial_trace(t, side)
                 assert hilbert.von_neumann_entropy(reduced) < 1e-10
@@ -330,21 +271,3 @@ class TestValidators:
     def test_ket_rejects_dim3(self):
         with pytest.raises(ValueError):
             hilbert.ket([1.0, 0.0, 0.0])
-
-    def test_operator_rejects_bad_shapes(self):
-        for entries in ([1.0, 0.0], np.eye(3), np.ones((2, 4)), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError, match="square with dim 2 or 4"):
-                hilbert.operator(entries)
-
-    def test_operator_rejects_non_finite(self):
-        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                hilbert.operator([[1.0, bad], [0.0, 1.0]])
-
-    def test_operator_returns_read_only_copy(self):
-        entries = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        m = hilbert.operator(entries)
-        assert not m.flags.writeable
-        assert entries.flags.writeable
-        entries[0, 0] = 9.0
-        assert m[0, 0] == 1.0
