@@ -1,35 +1,41 @@
-"""The optimizer's gradient ascent over SO(3), on Python floats.
+"""The optimizer's gradient ascent on the sphere S^2, on Python floats.
 
 An optimizer point u = (u0, u1) holds the two rows of the cloning map in
 sphere coordinates (x_i, y_i, sqrt(2)*b_i), which qbc.optimizer alone
-defines (_orbit_vector and _clone_params). The isometry constraints
-|u0| = |u1| = 1, dot(u0, u1) = cos(theta) define one SO(3) orbit,
-{R [e1, cos(theta) e1 + sin(theta) e2]}, so the ascent moves a rotation R
-and never leaves the set. The ascent holds v = u0 and d = u1 - u0 as local
-floats and writes every product out with math.sin, math.cos, math.sqrt.
+defines. The isometry constraints |u0| = |u1| = 1, dot(u0, u1) =
+cos(theta) define one SO(3) orbit, {R [e1, cos(theta) e1 + sin(theta) e2]}.
+On it the objective, the squared smallest eigenvalue of the clone-marginal
+difference, is lambda = |x0 (y0, z0) - x1 (y1, z1)|^2. Rotating both rows
+about the x axis leaves it unchanged, so lambda depends on R only through
+its first row n = R^T e1, a unit vector, and the ascent moves n on S^2
+(the quotient of SO(3) by that circle; Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 3).
 
-The objective is lambda = g^2 + q^2, the squared smallest eigenvalue of the
-clone-marginal difference, with sd = d0 + d1 and
+With h = sin(theta/2), delta = (-2 h^2, sin(theta), 0), x0 = n0,
+e = dot(n, delta), x1 = x0 + e and S = x0 + x1,
 
-    g = v2 d0 + d2 (v0 + d0),
-    q = sd (v0 + v1 + sd/2) + d2 (v2 + d2/2).
+    lambda(n) = e^2 (1 - S^2) + 4 h^2 x0 x1.
 
-Both squared terms are products with d, never differences of nearly equal
-terms, so lambda keeps its relative accuracy as theta (and with it d) goes
-to 0. Rotating v and d by exp([h w]x) changes lambda at the rate
-dot(omega, w), with the Riemannian gradient omega = v x G_v + d x G_d.
-G_v is the Euclidean gradient in u0 with d held fixed, and is O(|d|^2);
-G_d is the one in d with v held fixed, and is O(|d|). Both are formed from
-g, q and sd without cancellation.
+Its Euclidean gradient is 4 S (h^2 - e^2) e1 + (2 e (1 - S^2) - 2 e^2 S +
+4 h^2 x0) delta, and the Riemannian gradient is that projected onto the
+tangent plane at n. Every term is a product with e or h, so lambda and its
+gradient keep their accuracy relative to sin^2(theta) as theta goes to 0.
+Geometrically, lambda is the squared part orthogonal to n of
+x0 e1 - x1 (cos(theta), sin(theta), 0), a vector of length
+|n_par| sin(theta), where n_par = (n0, n1, 0). So lambda <= |n_par|^2
+sin^2(theta) <= sin^2(theta), and the maximizers are the four points
++-(cos(theta/2), sin(theta/2), 0) and +-(sin(theta/2), -cos(theta/2), 0).
+Above each lies a circle of rotations, that is, of equally good cloning
+maps.
 
 The step length uses the curvature at the optimum. There the Hessian of
-lambda over rotations has eigenvalues {-8, -2, 0} sin^2(theta) at every
-theta, the 0 along the circle of equally good maps. A fixed step length t
-(in units of 1/sin^2(theta)) shrinks the gradient by max(|1 - 8t|, |1 - 2t|)
-per step, at best 0.6 at t = 0.2, where a doubling ladder settles. The
-two-point (Barzilai-Borwein) length adapts to both curvatures and takes
-about half the iterations (Barzilai and Borwein, IMA J. Numer. Anal. 8,
-1988; on manifolds, Iannazzo and Porcelli, IMA J. Numer. Anal. 38, 2018).
+lambda on S^2 has eigenvalues {-8, -2} sin^2(theta) at every theta. A
+fixed step length t (in units of 1/sin^2(theta)) shrinks the gradient by
+max(|1 - 8t|, |1 - 2t|) per step, at best 0.6 at t = 0.2, where a doubling
+ladder settles. The two-point (Barzilai-Borwein) length adapts to both
+curvatures and takes about half the iterations (Barzilai and Borwein, IMA
+J. Numer. Anal. 8, 1988; on manifolds, Iannazzo and Porcelli, IMA J.
+Numer. Anal. 38, 2018).
 """
 
 import math
@@ -40,125 +46,90 @@ import numpy as np
 from . import tolerances as tol
 
 
-def ascend(rot, theta):
-    """Riemannian gradient ascent over the rotation R from one start.
+def ascend(start, theta):
+    """Riemannian gradient ascent on S^2 from the direction of start.
 
-    The feasible point of R is u0 = v, u1 = v + d with v = R e1 and
-    d = R (-2 sin^2(theta/2), sin(theta), 0). A step is
-    R -> exp([p]x) R with p = t omega / sin^2(theta), and t is halved from
-    its first trial until the Armijo test passes. The first iteration's
-    first trial is OPTIMIZER_STEP_INIT. Later ones take the BB1 length
-    t = -(s.s)/(s.y) sin^2(theta), from the last accepted p = s and the
-    change y of omega over it, both in the fixed frame, capped at a rotation
-    angle of pi; when s.y >= 0 there is no curvature to use, and the trial is
-    twice the last accepted t. At the optimum the two curvatures of lambda
-    are -8 and -2 sin^2(theta) (see the module docstring), and BB1 adapts to
-    both where any fixed t cannot. The objective and its curvature both
-    scale with sin^2(theta), so t and the certificate are free of theta.
+    start is a nonzero 3-vector of floats; the ascent begins at its unit
+    vector n. A step moves n along the great circle through the gradient
+    grad, n -> n cos(a) + (grad/|grad|) sin(a) with a = t |grad| /
+    sin^2(theta), and t is halved from its first trial until the Armijo
+    test passes. The first iteration's first trial is OPTIMIZER_STEP_INIT.
+    Later ones take the BB1 length t = -(s.s)/(s.y) sin^2(theta), from the
+    last accepted step s = t grad / sin^2(theta) and the change y of grad
+    over it, both as vectors in R^3, capped at a step angle of pi; when
+    s.y >= 0 there is no curvature to use, and the trial is twice the last
+    accepted t. The objective and its curvature both scale with
+    sin^2(theta), so t and the certificate are free of theta.
 
-    One loop on local floats. The gradient block forms G_v, G_d and omega
-    from the g, q and sd of the current point. Each line-search trial sets
-    up the Rodrigues rotation (axis k, cos, sin and 2 sin^2(angle/2)) once,
-    applies it to both v and d, and forms sd, g, q and lambda at the
-    rotated point; an accepted trial hands them on to the next gradient.
-
-    Returns (point, objective, |omega|, iterations, converged), point being
-    the 6-tuple (u0, u1). Converged means |omega| <= OPTIMIZER_GRAD_TOL *
+    Returns (n, objective, |grad|, iterations, converged), n being the end
+    point as 3 floats. Converged means |grad| <= OPTIMIZER_GRAD_TOL *
     sin^2(theta), within OPTIMIZER_MAX_ITERS steps. When sin^2(theta) is zero
     or subnormal the objective carries no relative information, so the start
     counts as converged at once, as at theta = 0 where it is identically zero.
     """
     c2 = math.sin(theta)
     h = math.sin(0.5 * theta)
-    c1 = -2.0 * (h * h)
+    hh = h * h
+    c1 = -2.0 * hh
     s2 = c2 * c2
     degenerate = s2 < sys.float_info.min
     grad_tol = tol.OPTIMIZER_GRAD_TOL
     max_iters = tol.OPTIMIZER_MAX_ITERS
-    (v0, r01, _), (v1, r11, _), (v2, r21, _) = rot.tolist()
-    d0, d1, d2 = c1 * v0 + c2 * r01, c1 * v1 + c2 * r11, c1 * v2 + c2 * r21
-    s0 = v0 + v1
-    sd = d0 + d1
-    w0 = v0 + d0
-    g = v2 * d0 + d2 * w0
-    q = sd * (s0 + 0.5 * sd) + d2 * (v2 + 0.5 * d2)
-    lam = g * g + q * q
+    n0, n1, n2 = start
+    r = math.hypot(n0, n1, n2)
+    n0, n1, n2 = n0 / r, n1 / r, n2 / r
+    e = c1 * n0 + c2 * n1
+    sm = n0 + n0 + e
+    lam = e * e * (1.0 - sm * sm) + 4.0 * hh * n0 * (n0 + e)
     step_try = tol.OPTIMIZER_STEP_INIT
     it = 0
     while True:
-        s1 = s0 + sd
-        w2 = v2 + d2
-        gv0 = 2.0 * (g * d2 + q * sd)
-        gv1 = 2.0 * q * sd
-        gv2 = 2.0 * (g * d0 + q * d2)
-        gd0 = 2.0 * (g * w2 + q * s1)
-        gd1 = 2.0 * q * s1
-        gd2 = 2.0 * (g * w0 + q * w2)
-        o0 = v1 * gv2 - v2 * gv1 + d1 * gd2 - d2 * gd1
-        o1 = v2 * gv0 - v0 * gv2 + d2 * gd0 - d0 * gd2
-        o2 = v0 * gv1 - v1 * gv0 + d0 * gd1 - d1 * gd0
-        # hypot, and gnorm * (gnorm / s2) below: |omega| ~ sin^2(theta), and
+        ge = 2.0 * e * (1.0 - sm * sm) - 2.0 * e * e * sm + 4.0 * hh * n0
+        g0 = 4.0 * sm * (hh - e * e) + ge * c1
+        g1 = ge * c2
+        gn = g0 * n0 + g1 * n1
+        g0, g1, g2 = g0 - gn * n0, g1 - gn * n1, -gn * n2
+        # hypot, and gnorm * (gnorm / s2) below: |grad| ~ sin^2(theta), and
         # its square underflows once theta is below about 1e-77
-        gnorm = math.hypot(o0, o1, o2)
+        gnorm = math.hypot(g0, g1, g2)
         if degenerate or gnorm <= grad_tol * s2 or it == max_iters:
             break
         step = step_try
         if it:
-            # BB1 from the last step p and the change of omega over it, capped
-            # at a rotation angle of pi
-            sy = p0 * (o0 - ol0) + p1 * (o1 - ol1) + p2 * (o2 - ol2)
+            # BB1 from the last step p and the change of grad over it, capped
+            # at a step angle of pi
+            sy = p0 * (g0 - gl0) + p1 * (g1 - gl1) + p2 * (g2 - gl2)
             if sy < 0.0:
                 step = min((p0 * p0 + p1 * p1 + p2 * p2) / -sy * s2, math.pi * s2 / gnorm)
         while step > 1e-12:
-            scale = step / s2
-            p0, p1, p2 = o0 * scale, o1 * scale, o2 * scale
-            angle = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
-            if angle == 0.0:
-                # the point does not move, so lambda cannot pass the test
-                step *= 0.5
-                continue
-            k0 = p0 / angle
-            k1 = p1 / angle
-            k2 = p2 / angle
+            angle = step * (gnorm / s2)
             c = math.cos(angle)
-            s = math.sin(angle)
-            sh = math.sin(0.5 * angle)
-            t = 2.0 * sh * sh
-            kv = (k0 * v0 + k1 * v1 + k2 * v2) * t
-            kd = (k0 * d0 + k1 * d1 + k2 * d2) * t
-            x0 = v0 * c + (k1 * v2 - k2 * v1) * s + k0 * kv
-            x1 = v1 * c + (k2 * v0 - k0 * v2) * s + k1 * kv
-            x2 = v2 * c + (k0 * v1 - k1 * v0) * s + k2 * kv
-            y0 = d0 * c + (k1 * d2 - k2 * d1) * s + k0 * kd
-            y1 = d1 * c + (k2 * d0 - k0 * d2) * s + k1 * kd
-            y2 = d2 * c + (k0 * d1 - k1 * d0) * s + k2 * kd
-            s0_c = x0 + x1
-            sd_c = y0 + y1
-            w0_c = x0 + y0
-            g_c = x2 * y0 + y2 * w0_c
-            q_c = sd_c * (s0_c + 0.5 * sd_c) + y2 * (x2 + 0.5 * y2)
-            lam_c = g_c * g_c + q_c * q_c
+            s = math.sin(angle) / gnorm
+            x0, x1, x2 = n0 * c + g0 * s, n1 * c + g1 * s, n2 * c + g2 * s
+            e_c = c1 * x0 + c2 * x1
+            sm_c = x0 + x0 + e_c
+            lam_c = e_c * e_c * (1.0 - sm_c * sm_c) + 4.0 * hh * x0 * (x0 + e_c)
             if lam_c > lam + 1e-4 * step * gnorm * (gnorm / s2):
-                v0, v1, v2, d0, d1, d2 = x0, x1, x2, y0, y1, y2
-                s0, sd, w0, g, q, lam = s0_c, sd_c, w0_c, g_c, q_c, lam_c
+                n0, n1, n2, e, sm, lam = x0, x1, x2, e_c, sm_c, lam_c
                 break
             step *= 0.5
         else:
             # no step increases the objective: its rounding floor
             break
+        scale = step / s2
+        p0, p1, p2 = g0 * scale, g1 * scale, g2 * scale
         step_try = 2.0 * step
-        ol0, ol1, ol2 = o0, o1, o2
+        gl0, gl1, gl2 = g0, g1, g2
         it += 1
-    point = (v0, v1, v2, v0 + d0, v1 + d1, v2 + d2)
-    return point, lam, gnorm, it, degenerate or gnorm <= grad_tol * s2
+    return (n0, n1, n2), lam, gnorm, it, degenerate or gnorm <= grad_tol * s2
 
 
 def run_starts(starts, theta):
-    """Ascend from every start rotation. Serial, order-independent per start.
+    """Ascend from every start direction, the rows of an (n, 3) array.
 
-    Returns ndarrays: points (n, 6), objectives, |omega|, int64 iterations
-    and bool convergence flags.
+    Serial, order-independent per start. Returns ndarrays: points (n, 3),
+    objectives, |grad|, int64 iterations and bool convergence flags.
     """
-    columns = zip(*(ascend(rot, theta) for rot in starts))
+    columns = zip(*(ascend(n, theta) for n in starts.tolist()))
     dtypes = (np.float64, np.float64, np.float64, np.int64, np.bool_)
     return tuple(np.array(col, dtype=t) for col, t in zip(columns, dtypes))

@@ -188,8 +188,15 @@ def cascade_joint(epsilon: float, pe: float) -> JointDistribution:
 
 
 def _marginal_table(joint: JointDistribution, keep: tuple[str, ...]) -> np.ndarray:
-    """The marginal table of an already validated joint law, axes in keep order."""
+    """The marginal table of an already validated joint law, axes in keep order.
+
+    Raises ValueError when keep names a variable the law lacks, or one
+    variable twice.
+    """
     axes = tuple(joint.axis(name) for name in keep)
+    repeated = [name for i, name in enumerate(keep) if name in keep[:i]]
+    if repeated:
+        raise ValueError(f"variable {repeated[0]!r} is named twice in {keep}: the arguments must differ")
     drop = tuple(i for i in range(len(joint.vars)) if i not in axes)
     summed = joint.table.sum(axis=drop) if drop else joint.table
     # summing keeps surviving axes in original order; permute to keep order

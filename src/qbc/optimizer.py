@@ -3,14 +3,18 @@
 In sphere coordinates the feasible set {|u0| = |u1| = 1, u0.u1 = cos(theta)}
 is one SO(3) orbit {R P(theta)}, P(theta) = [e1, cos(theta) e1 +
 sin(theta) e2]. Projection onto it is one closed-form orthogonal Procrustes
-(Kabsch) step, and the search is multi-start Riemannian gradient ascent over
-R. Starts are Gaussian samples projected onto the orbit; each ascent is
-deterministic, so a fixed seed reproduces the report bit for bit.
+(Kabsch) step. The objective is unchanged when both rows rotate about the x
+axis, so it depends on R only through its first row n, and the search is
+multi-start Riemannian gradient ascent on the sphere of those n (see
+qbc._kernels). Starts are normalized Gaussian 3-vectors, uniform on the
+sphere; each ascent is deterministic, so a fixed seed reproduces the report
+bit for bit. Only the best converged n becomes a cloning map, through one
+closed-form rotation whose first row is n.
 
 The sphere coordinates are defined here alone: _orbit_vector and
 _clone_params convert between CloneParams and the orbit point u = (u0, u1),
 u_i = ((a_i + d_i)/sqrt2, (a_i - d_i)/sqrt2, sqrt2 b_i). The ascent itself
-lives in qbc._kernels, as plain Python on float tuples.
+lives in qbc._kernels, as plain Python on floats.
 """
 
 import math
@@ -43,11 +47,15 @@ class OptimizationReport:
     """Result of maximize_lambda, taken from the best converged start.
 
     lambda_max is the ascent's cancellation-free objective at that start's
-    orbit point; lambda_objective(best_params) agrees with it up to the
-    rounding of the coefficients, which matters only in relative terms as
-    theta goes to 0. starts_converged counts the starts that met the
-    gradient tolerance, and residual_max is the largest constraint residual
-    of best_params.
+    end point n on the sphere, which obeys lambda <= |(n0, n1)|^2
+    sin^2(theta) <= sin^2(theta); the maximizers are the four points
+    +-(cos(theta/2), sin(theta/2), 0) and +-(sin(theta/2), -cos(theta/2), 0).
+    best_params is the cloning map of the rotation whose first row is n.
+    lambda_objective(best_params) agrees with lambda_max up to the rounding
+    of the coefficients, which matters only in relative terms as theta goes
+    to 0. starts_converged counts the starts that met the gradient
+    tolerance, and residual_max is the largest constraint residual of
+    best_params.
     """
 
     best_params: CloneParams
@@ -78,36 +86,47 @@ def _orbit_frame(theta: float) -> np.ndarray:
     return np.array([[1.0, math.cos(theta)], [0.0, math.sin(theta)], [0.0, 0.0]])
 
 
-def _nearest_rotations(u: np.ndarray, theta: float) -> np.ndarray:
-    """Kabsch: for each row u = (u0, u1), the R in SO(3) nearest to U = [u0, u1].
+def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
+    """Kabsch: the feasible point R P(theta) nearest to U = [u0, u1], u a 6-vector.
 
     R minimizes |R P(theta) - U| over SO(3): it is the polar factor of
     U P(theta)^T, with the last singular direction flipped when needed so
-    that det R = +1. Returns the rotations with shape (rows, 3, 3).
+    that det R = +1.
     """
-    m = u.reshape(-1, 2, 3).transpose(0, 2, 1) @ _orbit_frame(theta).T
-    if not np.all(np.any(m, axis=(1, 2))):
+    frame = _orbit_frame(theta)
+    m = u.reshape(2, 3).T @ frame.T
+    if not np.any(m):
         raise ProjectionError("U P(theta)^T is zero: every feasible point is equally near")
     w, _, vt = np.linalg.svd(m)
-    w[:, :, 2] *= np.sign(np.linalg.det(w @ vt))[:, None]
-    return w @ vt
+    w[:, 2] *= np.sign(np.linalg.det(w @ vt))
+    return _clone_params((w @ vt @ frame).T.reshape(6).tolist())
 
 
-def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
-    """The feasible point R P(theta) nearest to one orbit-coordinate vector."""
-    point = _nearest_rotations(u, theta)[0] @ _orbit_frame(theta)
-    return _clone_params(point.T.reshape(6).tolist())
+def _direction_params(n, theta: float) -> CloneParams:
+    """The feasible point R P(theta) of a rotation R whose first row is +-n.
+
+    n is a unit 3-vector. The objective is even in n, so n is first flipped
+    to n0 >= 0; R is then the rotation about the axis e1 x n that takes n
+    to e1, in closed form with the divisor 1 + n0 >= 1. Its first two
+    columns are R e1 = (n0, -n1, -n2) and R e2.
+    """
+    n0, n1, n2 = n if n[0] >= 0.0 else (-n[0], -n[1], -n[2])
+    k = 1.0 / (1.0 + n0)
+    h = math.sin(0.5 * theta)
+    c1, c2 = -2.0 * (h * h), math.sin(theta)
+    v, b = (n0, -n1, -n2), (n1, 1.0 - n1 * n1 * k, -n1 * n2 * k)
+    # u1 = v + d with d = R (cos(theta) - 1, sin(theta), 0), free of cancellation
+    return _clone_params((*v, *(vi + (c1 * vi + c2 * bi) for vi, bi in zip(v, b))))
 
 
 def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
-    """Ascend from the rotation nearest to each row of raw, an (n, 6) array.
+    """Ascend from the direction of each row of raw, an (n, 3) array.
 
-    One tuple per start, in row order: the end point as CloneParams, then
-    the objective, |omega|, the iteration count and the converged flag as
-    Python values.
+    One tuple per start, in row order: the end point n as a list of three
+    floats, then the objective, |grad|, the iteration count and the
+    converged flag as Python values.
     """
-    points, *rest = (col.tolist() for col in run_starts(_nearest_rotations(raw, theta), theta))
-    return list(zip(map(_clone_params, points), *rest))
+    return list(zip(*(col.tolist() for col in run_starts(raw, theta))))
 
 
 def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
@@ -146,8 +165,8 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
     if config is None:
         config = OptimizerConfig()
     rng = np.random.default_rng(config.seed)
-    starts = _ascents(theta, rng.standard_normal((config.n_starts, 6)))
-    converged = [(params, lam) for params, lam, _, _, conv in starts if conv]
+    starts = _ascents(theta, rng.standard_normal((config.n_starts, 3)))
+    converged = [(n, lam) for n, lam, _, _, conv in starts if conv]
     if not converged:
         lams = [s[1] for s in starts]
         gnorms = [s[2] for s in starts]
@@ -158,7 +177,8 @@ def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> Opti
             f"gradient norms in [{min(gnorms)}, {max(gnorms)}] "
             f"against tol * sin^2(theta) = {tol.OPTIMIZER_GRAD_TOL * math.sin(theta) ** 2}"
         )
-    best_params, lambda_max = max(converged, key=lambda c: c[1])  # first of any ties
+    best_n, lambda_max = max(converged, key=lambda c: c[1])  # first of any ties
+    best_params = _direction_params(best_n, theta)
     return OptimizationReport(
         best_params=best_params,
         lambda_max=lambda_max,

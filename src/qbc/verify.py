@@ -33,6 +33,7 @@ from .discrimination import (
 from .optimizer import (
     OptimizerConfig,
     _ascents,
+    _direction_params,
     maximize_lambda,
     random_feasible_params,
 )
@@ -251,10 +252,10 @@ def _suite_optimizer(seed: int) -> list[CheckResult]:
 
     feas = CheckResult("optimizer", "converged_start_feasibility", tol.FEASIBILITY_TOL)
     for theta in (0.0, 0.4, 0.9, math.pi / 2):
-        raw = np.random.default_rng([seed, 5]).standard_normal((16, 6))
-        for k, (params, _, _, _, converged) in enumerate(_ascents(theta, raw)):
+        raw = np.random.default_rng([seed, 5]).standard_normal((16, 3))
+        for k, (n, _, _, _, converged) in enumerate(_ascents(theta, raw)):
             if converged:
-                res = constraint_residuals(params, theta)
+                res = constraint_residuals(_direction_params(n, theta), theta)
                 feas.add(float(np.max(np.abs(res))), f"theta={theta}, start {k}")
 
     return [grid, upper, det, feas]

@@ -275,6 +275,9 @@ class TestGoldenBytes:
             ("rates --theta 1e-7 --epsilon 0.5", "0115e44210d0"),
             ("rates --theta 1.2 --epsilon 0.1", "4d2b456a10de"),
             (f"sweep --theta-grid 0:{PI_2}:41 --phi 0.4 --epsilon 0.1", "081aa4aebab1"),
+            ("optimize --theta 0.8 --n-starts 8 --seed 5", "fceaefdbe77c"),
+            ("optimize --theta 1e-6 --seed 5", "d26b3ab8dfc5"),
+            (f"optimize --theta {PI_2} --seed 5", "b80503035d50"),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):

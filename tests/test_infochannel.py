@@ -267,6 +267,14 @@ class TestInformationFunctionals:
             H_03 - H_QUARTER, abs=1e-12
         )
 
+    def test_mi_rejects_a_repeated_variable(self):
+        with pytest.raises(ValueError, match="variable 'S' is named twice"):
+            mutual_information(cascade_joint(0.1, 0.2), "S", "S")
+
+    def test_cmi_rejects_a_repeated_variable(self):
+        with pytest.raises(ValueError, match="variable 'X' is named twice"):
+            conditional_mutual_information(cascade_joint(0.1, 0.2), "X", "Y", "X")
+
 
 class TestInformationGoldenBytes:
     """sha1 prefix of the information layer on inputs that no CLI command prints.

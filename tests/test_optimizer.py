@@ -20,6 +20,8 @@ from qbc.optimizer import (
     OptimizerConfig,
     _ascents,
     _clone_params,
+    _direction_params,
+    _orbit_vector,
     maximize_lambda,
     project_to_feasible,
     random_feasible_params,
@@ -84,58 +86,6 @@ def _rotate(x, phi):
     return tuple(xi * math.cos(angle) + ci * math.sin(angle) + ki * kx for xi, ci, ki in zip(x, kcx, k))
 
 
-def _lambda(v, d):
-    """The objective at u0 = v, u1 = v + d, with both squares products with d."""
-    v0, v1, v2 = v
-    d0, d1, d2 = d
-    sd = d0 + d1
-    g = v2 * d0 + d2 * (v0 + d0)
-    q = sd * (v0 + v1 + 0.5 * sd) + d2 * (v2 + 0.5 * d2)
-    return g * g + q * q
-
-
-class TestGradient:
-    def test_matches_central_differences(self, monkeypatch):
-        """omega against derivatives of lambda(exp([h w]x) R) along axes and omega.
-
-        ascend reports lambda and |omega| at its start when capped at 0
-        steps. Capped at 1, its one step is the rotation exp([t omega]x) with
-        t > 0, so that rotation's axis is omega / |omega|.
-        """
-        rng = np.random.default_rng(43)
-        h = 1e-5
-        for _ in range(100):
-            theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi / 2)))
-            psi = tuple(rng.standard_normal(3).tolist())
-            v = _rotate((1.0, 0.0, 0.0), psi)
-            b = _rotate((0.0, 1.0, 0.0), psi)
-            c1, c2 = -2.0 * math.sin(theta / 2) ** 2, math.sin(theta)
-            d = tuple(c1 * vi + c2 * bi for vi, bi in zip(v, b))
-            rot = np.column_stack([v, b, np.cross(v, b)])
-            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
-            _, lam, gnorm, _, _ = ascend(rot, theta)
-            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 1)
-            point, _, _, iters, _ = ascend(rot, theta)
-            assert iters == 1
-            # the cancellation-free objective against the coefficient form
-            w = tuple(vi + di for vi, di in zip(v, d))
-            assert _lambda(v, d) == pytest.approx(lam, rel=1e-12)
-            assert lam == pytest.approx(lambda_objective(_clone_params((*v, *w))), rel=1e-8)
-            v_s = np.array(point[:3])
-            d_s = np.array(point[3:]) - v_s
-            frame = np.column_stack([v, d, np.cross(v, d)])
-            step = np.linalg.solve(frame.T, np.column_stack([v_s, d_s, np.cross(v_s, d_s)]).T).T
-            axis = np.array([step[2, 1] - step[1, 2], step[0, 2] - step[2, 0], step[1, 0] - step[0, 1]])
-            axis /= np.linalg.norm(axis)
-            omega = gnorm * axis
-            s2 = math.sin(theta) ** 2
-            for w in [*np.eye(3), axis]:
-                up = _lambda(_rotate(v, tuple(h * w)), _rotate(d, tuple(h * w)))
-                dn = _lambda(_rotate(v, tuple(-h * w)), _rotate(d, tuple(-h * w)))
-                fd = (up - dn) / (2 * h)
-                assert np.dot(omega, w) == pytest.approx(fd, abs=1e-8 * s2)
-
-
 def _quaternion_rotation(w, x, y, z):
     """The rotation matrix of the quaternion (w, x, y, z), normalized first."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -149,37 +99,146 @@ def _quaternion_rotation(w, x, y, z):
     )
 
 
-def _golden_starts():
-    """(theta, rotation) pairs: 32 quaternion starts at each of 12 angles.
+def _orbit_rows(rot, theta):
+    """v = R e1 and d = R (cos(theta) - 1, sin(theta), 0): the point u0 = v, u1 = v + d."""
+    c1, c2 = -2.0 * math.sin(theta / 2) ** 2, math.sin(theta)
+    v = tuple(rot[:, 0].tolist())
+    return v, tuple(c1 * vi + c2 * bi for vi, bi in zip(v, rot[:, 1].tolist()))
 
-    Starts are built without LAPACK, from theta = 0 through tiny theta
-    (sin^2 down to 1e-300) to pi/2.
+
+def _lambda(v, d):
+    """The objective at u0 = v, u1 = v + d, with both squares products with d."""
+    v0, v1, v2 = v
+    d0, d1, d2 = d
+    sd = d0 + d1
+    g = v2 * d0 + d2 * (v0 + d0)
+    q = sd * (v0 + v1 + 0.5 * sd) + d2 * (v2 + 0.5 * d2)
+    return g * g + q * q
+
+
+def _omega_norm(v, d):
+    """|omega|, the objective's gradient over rotations exp([w]x) of both rows.
+
+    omega = v x G_v + d x G_d, with G_v the Euclidean gradient of _lambda in
+    v at fixed d and G_d the one in d at fixed v.
+    """
+    v0, v1, v2 = v
+    d0, d1, d2 = d
+    s0, sd, w0, w2 = v0 + v1, d0 + d1, v0 + d0, v2 + d2
+    g = v2 * d0 + d2 * w0
+    q = sd * (s0 + 0.5 * sd) + d2 * (v2 + 0.5 * d2)
+    s1 = s0 + sd
+    gv = (2.0 * (g * d2 + q * sd), 2.0 * q * sd, 2.0 * (g * d0 + q * d2))
+    gd = (2.0 * (g * w2 + q * s1), 2.0 * q * s1, 2.0 * (g * w0 + q * w2))
+    omega = np.cross(v, gv) + np.cross(d, gd)
+    return math.hypot(*omega.tolist())
+
+
+class TestReduction:
+    """The objective depends on the rotation R only through n = R^T e1."""
+
+    def test_lambda_is_invariant_under_rotation_about_x(self):
+        """Rotating both rows' (y, z) parts by one angle leaves lambda unchanged."""
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            theta = rng.uniform(0.1, math.pi / 2)
+            p = random_feasible_params(theta, rng)
+            beta = rng.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(beta), math.sin(beta)
+            rows = [(x, c * y - s * z, s * y + c * z) for x, y, z in _orbit_vector(p).reshape(2, 3).tolist()]
+            q = _clone_params((*rows[0], *rows[1]))
+            assert lambda_objective(q) == pytest.approx(lambda_objective(p), rel=1e-12), (theta, beta)
+
+    def test_start_matches_the_rotation_form(self, monkeypatch):
+        """lambda and |grad| at the start equal g^2 + q^2 and |omega| over SO(3).
+
+        omega is orthogonal to e1, the axis that leaves lambda unchanged, and
+        a rotation exp([h w]x) R with w orthogonal to e1 moves n = R^T e1 along
+        a great circle at speed |w|. So |omega| = |grad| at n = R^T e1.
+        """
+        monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
+        rng = random.Random(44)
+        for theta in [1e-8 * (math.pi / 2e-8) ** (k / 24) for k in range(25)]:
+            s2 = math.sin(theta) ** 2
+            for _ in range(40):
+                rot = _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
+                v, d = _orbit_rows(rot, theta)
+                _, lam, gnorm, iters, _ = ascend(rot[0].tolist(), theta)
+                assert iters == 0
+                assert abs(lam - _lambda(v, d)) <= 1e-14 * s2, theta
+                assert abs(gnorm - _omega_norm(v, d)) <= 1e-14 * s2, theta
+
+
+class TestGradient:
+    def test_matches_central_differences(self, monkeypatch):
+        """grad against derivatives of lambda along great circles of S^2.
+
+        ascend reports lambda and |grad| at its start when capped at 0
+        steps. Capped at 1, its one step moves n along the great circle
+        through grad, so the step's part orthogonal to n is grad's direction.
+        lambda along a tangent t at n = R^T e1 comes from the rotation form:
+        exp([h w]x) R with w = (R t) x e1 has first row n cos(h) + t sin(h).
+        """
+        rng = np.random.default_rng(43)
+        h = 1e-5
+        for _ in range(100):
+            theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi / 2)))
+            rot = _quaternion_rotation(*rng.standard_normal(4).tolist())
+            n = rot[0]
+            v, d = _orbit_rows(rot, theta)
+            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
+            _, lam, gnorm, _, _ = ascend(n.tolist(), theta)
+            monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 1)
+            point, _, _, iters, _ = ascend(n.tolist(), theta)
+            assert iters == 1
+            # the cancellation-free objective against the coefficient form
+            w = tuple(vi + di for vi, di in zip(v, d))
+            assert _lambda(v, d) == pytest.approx(lam, rel=1e-12)
+            assert lam == pytest.approx(lambda_objective(_clone_params((*v, *w))), rel=1e-8)
+            axis = np.array(point) - np.dot(point, n) * n
+            axis /= np.linalg.norm(axis)
+            grad = gnorm * axis
+            s2 = math.sin(theta) ** 2
+            for t in (rot[1], rot[2], axis):
+                w = tuple(np.cross(rot @ t, (1.0, 0.0, 0.0)))
+                up = _lambda(_rotate(v, tuple(h * wi for wi in w)), _rotate(d, tuple(h * wi for wi in w)))
+                dn = _lambda(_rotate(v, tuple(-h * wi for wi in w)), _rotate(d, tuple(-h * wi for wi in w)))
+                fd = (up - dn) / (2 * h)
+                assert np.dot(grad, t) == pytest.approx(fd, abs=1e-8 * s2)
+
+
+def _golden_starts():
+    """(theta, start) pairs: 32 quaternion starts at each of 12 angles.
+
+    Each start is the first row of a quaternion rotation, built without
+    LAPACK, at angles from theta = 0 through tiny theta (sin^2 down to
+    1e-300) to pi/2.
     """
     rng = random.Random(2026)
     thetas = (0.0, 1e-150, 1e-80, 1e-8, 1e-6, 1e-3, math.pi / 48, 0.3, 0.8, 1.2, math.pi / 2 - 1e-9, math.pi / 2)
     for theta in thetas:
         for _ in range(32):
-            yield theta, _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
+            yield theta, _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))[0].tolist()
 
 
 def test_ascent_golden_digest():
     """The ascent's end points, objectives, gradients and counts, bit for bit."""
     digest = hashlib.sha1()
-    for theta, rot in _golden_starts():
-        digest.update(repr(ascend(rot, theta)).encode())
-    assert digest.hexdigest()[:12] == "2e7a1aaf5309"
+    for theta, start in _golden_starts():
+        digest.update(repr(ascend(start, theta)).encode())
+    assert digest.hexdigest()[:12] == "fe31e5b3e3b1"
 
 
 def test_ascent_iteration_count():
     """The two-point step length halves the iterations of a fixed step.
 
     At the optimum the curvatures are -8 and -2 sin^2(theta), so no fixed
-    step shrinks |omega| by more than 0.6 per iteration; the doubling ladder
+    step shrinks |grad| by more than 0.6 per iteration; the doubling ladder
     takes about 30 iterations per start here.
     """
     iters = []
-    for theta, rot in _golden_starts():
-        _, _, _, it, converged = ascend(rot, theta)
+    for theta, start in _golden_starts():
+        _, _, _, it, converged = ascend(start, theta)
         assert converged, theta
         if theta > 0.0:
             iters.append(it)
@@ -192,11 +251,11 @@ def test_ascent_is_monotone_in_the_iteration_cap(monkeypatch):
     rng = random.Random(48)
     for theta in (1e-6, math.pi / 48, 0.8, math.pi / 2):
         for _ in range(16):
-            rot = _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))
+            start = _quaternion_rotation(*(rng.gauss(0, 1) for _ in range(4)))[0].tolist()
             last = -math.inf
             for k in range(26):
                 monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", k)
-                _, lam, _, it, _ = ascend(rot, theta)
+                _, lam, _, it, _ = ascend(start, theta)
                 assert it <= k
                 assert lam >= last, (theta, k)
                 last = lam
@@ -215,10 +274,10 @@ class TestMaximizeLambda:
         report = maximize_lambda(math.pi / 3, OptimizerConfig(seed=1))
         assert report.lambda_max == pytest.approx(0.75, abs=1e-6)
         # the free parameter sweeps a family of equally good optima
-        raw = np.random.default_rng(1).standard_normal((32, 6))
-        for p, _, _, _, converged in _ascents(math.pi / 3, raw):
+        raw = np.random.default_rng(1).standard_normal((32, 3))
+        for n, _, _, _, converged in _ascents(math.pi / 3, raw):
             if converged:
-                assert lambda_objective(p) == pytest.approx(0.75, abs=1e-6)
+                assert lambda_objective(_direction_params(n, math.pi / 3)) == pytest.approx(0.75, abs=1e-6)
 
     def test_report_invariants(self):
         report = maximize_lambda(1.1, OptimizerConfig(seed=3))
@@ -241,8 +300,8 @@ class TestMaximizeLambda:
         # at theta = 0 every start's objective is exactly 0
         report = maximize_lambda(0.0, OptimizerConfig(n_starts=8, seed=5))
         assert report.starts_converged == 8
-        first = _ascents(0.0, np.random.default_rng(5).standard_normal((8, 6)))[0]
-        assert report.best_params == first[0]
+        first = _ascents(0.0, np.random.default_rng(5).standard_normal((8, 3)))[0]
+        assert report.best_params == _direction_params(first[0], 0.0)
 
     def test_failure_when_no_start_can_converge(self, monkeypatch):
         monkeypatch.setattr(tol, "OPTIMIZER_MAX_ITERS", 0)
