@@ -4,7 +4,7 @@ Library layout:
   hilbert         kets, outer products, partial traces, eigensolver, entropy
   discrimination  minimum-error two-state measurements
   cloner          the symmetric cloning family, its objective, entanglement
-  optimizer       multi-start ascent over SO(3) re-deriving the optimum
+  optimizer       multi-start ascent on the sphere S^2 re-deriving the optimum
   infochannel     induced channels, degraded cascade, rate region
   cli / reports   the qbc executable and its JSON/CSV reports
   verify          invariant suites behind `qbc verify`
@@ -33,7 +33,6 @@ from .discrimination import (
 from .errors import (
     InfeasibleParamsError,
     OptimizationFailure,
-    ProjectionError,
 )
 from .hilbert import (
     EigDecomposition,
@@ -64,7 +63,6 @@ from .optimizer import (
     OptimizationReport,
     OptimizerConfig,
     maximize_lambda,
-    project_to_feasible,
     random_feasible_params,
 )
 

@@ -3,8 +3,8 @@
 Subcommands: discriminate, clone, optimize, rates, sweep, verify.
 Angles are radians (``--theta-deg`` converts for convenience); JSON is the
 default output, CSV is available for sweeps. Exit codes: 0 success,
-1 verification or optimization failure, 2 usage error, reported on stderr
-as one line ``qbc <cmd>: <message>``.
+1 verification or optimization failure or an unwritable stdout, 2 usage
+error, reported on stderr as one line ``qbc <cmd>: <message>``.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import reports, verify
-from .errors import OptimizationFailure, ProjectionError
+from .errors import OptimizationFailure
 
 # upper bound on sweep STEPS and --n-starts, so a typo cannot exhaust memory
 MAX_COUNT = 10**6
@@ -108,8 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush text; OSError when stdout is closed or the write fails."""
+    if sys.stdout is None:
+        raise OSError("cannot write to stdout: it is closed")
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    _write_stdout(json.dumps(obj, indent=2) + "\n")
 
 
 def _cmd_discriminate(args) -> int:
@@ -152,7 +160,7 @@ def _cmd_sweep(args) -> int:
     else:
         payload = json.dumps({"records": records}, indent=2) + "\n"
     if args.out is None:
-        sys.stdout.write(payload)
+        _write_stdout(payload)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -166,7 +174,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify.run_all(seed=args.seed)
     text, code = verify.format_report(results, args.seed)
-    sys.stdout.write(text)
+    _write_stdout(text)
     return code
 
 
@@ -175,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OptimizationFailure, ProjectionError) as exc:
+    except (OptimizationFailure, OSError) as exc:
         sys.stderr.write(f"qbc {args.command}: {exc}\n")
         return 1
     except ValueError as exc:

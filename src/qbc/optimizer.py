@@ -1,20 +1,18 @@
 """Independent search for the best symmetric cloning map.
 
-In sphere coordinates the feasible set {|u0| = |u1| = 1, u0.u1 = cos(theta)}
-is one SO(3) orbit {R P(theta)}, P(theta) = [e1, cos(theta) e1 +
-sin(theta) e2]. Projection onto it is one closed-form orthogonal Procrustes
-(Kabsch) step. The objective is unchanged when both rows rotate about the x
-axis, so it depends on R only through its first row n, and the search is
-multi-start Riemannian gradient ascent on the sphere of those n (see
-qbc._kernels). Starts are normalized Gaussian 3-vectors, uniform on the
-sphere; each ascent is deterministic, so a fixed seed reproduces the report
-bit for bit. Only the best converged n becomes a cloning map, through one
-closed-form rotation whose first row is n.
-
-The sphere coordinates are defined here alone: _orbit_vector and
-_clone_params convert between CloneParams and the orbit point u = (u0, u1),
-u_i = ((a_i + d_i)/sqrt2, (a_i - d_i)/sqrt2, sqrt2 b_i). The ascent itself
-lives in qbc._kernels, as plain Python on floats.
+In sphere coordinates u_i = ((a_i + d_i)/sqrt2, (a_i - d_i)/sqrt2, sqrt2 b_i)
+the feasible set {|u0| = |u1| = 1, u0.u1 = cos(theta)} is one SO(3) orbit
+{R P(theta)}, P(theta) = [e1, cos(theta) e1 + sin(theta) e2]. _frame_params
+builds its point from R e1 and R e2, and _clone_params is the only
+conversion from sphere coordinates to CloneParams. random_feasible_params
+takes R from a normalized Gaussian 4-vector read as a unit quaternion, which
+is Haar-uniform on SO(3) (Shoemake 1992). The objective is unchanged when
+both rows rotate about the x axis, so it depends on R only through its first
+row n, and the search is multi-start Riemannian gradient ascent on the
+sphere of those n (see qbc._kernels). Starts are normalized Gaussian
+3-vectors; each ascent is deterministic, so a fixed seed reproduces the
+report bit for bit. Only the best converged n becomes a cloning map, through
+one closed-form rotation whose first row is n. Nothing here calls numpy.linalg.
 """
 
 import math
@@ -26,7 +24,7 @@ from . import tolerances as tol
 from ._kernels import run_starts
 from .cloner import CloneParams, constraint_residuals
 from .discrimination import check_theta
-from .errors import OptimizationFailure, ProjectionError
+from .errors import OptimizationFailure
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = 1.0 / _SQRT2
@@ -64,14 +62,6 @@ class OptimizationReport:
     residual_max: float
 
 
-def _orbit_vector(p: CloneParams) -> np.ndarray:
-    """The orbit point (u0, u1) of a parameter set, as one 6-vector."""
-    return np.array([
-        (p.a0 + p.d0) * _SQRT1_2, (p.a0 - p.d0) * _SQRT1_2, _SQRT2 * p.b0,
-        (p.a1 + p.d1) * _SQRT1_2, (p.a1 - p.d1) * _SQRT1_2, _SQRT2 * p.b1,
-    ])
-
-
 def _clone_params(u) -> CloneParams:
     """The parameter set of an orbit point u = (u0, u1), six floats."""
     x0, y0, z0, x1, y1, z1 = u
@@ -81,25 +71,12 @@ def _clone_params(u) -> CloneParams:
     )
 
 
-def _orbit_frame(theta: float) -> np.ndarray:
-    """P(theta) = [e1, cos(theta) e1 + sin(theta) e2]; the orbit is {R P(theta)}."""
-    return np.array([[1.0, math.cos(theta)], [0.0, math.sin(theta)], [0.0, 0.0]])
-
-
-def _feasible_params(u: np.ndarray, theta: float) -> CloneParams:
-    """Kabsch: the feasible point R P(theta) nearest to U = [u0, u1], u a 6-vector.
-
-    R minimizes |R P(theta) - U| over SO(3): it is the polar factor of
-    U P(theta)^T, with the last singular direction flipped when needed so
-    that det R = +1.
-    """
-    frame = _orbit_frame(theta)
-    m = u.reshape(2, 3).T @ frame.T
-    if not np.any(m):
-        raise ProjectionError("U P(theta)^T is zero: every feasible point is equally near")
-    w, _, vt = np.linalg.svd(m)
-    w[:, 2] *= np.sign(np.linalg.det(w @ vt))
-    return _clone_params((w @ vt @ frame).T.reshape(6).tolist())
+def _frame_params(v, b, theta: float) -> CloneParams:
+    """The orbit point R P(theta) of the rotation R with R e1 = v and R e2 = b."""
+    h = math.sin(0.5 * theta)
+    c1, c2 = -2.0 * (h * h), math.sin(theta)
+    # u1 = v + d with d = R (cos(theta) - 1, sin(theta), 0), free of cancellation
+    return _clone_params((*v, *(vi + (c1 * vi + c2 * bi) for vi, bi in zip(v, b))))
 
 
 def _direction_params(n, theta: float) -> CloneParams:
@@ -112,11 +89,7 @@ def _direction_params(n, theta: float) -> CloneParams:
     """
     n0, n1, n2 = n if n[0] >= 0.0 else (-n[0], -n[1], -n[2])
     k = 1.0 / (1.0 + n0)
-    h = math.sin(0.5 * theta)
-    c1, c2 = -2.0 * (h * h), math.sin(theta)
-    v, b = (n0, -n1, -n2), (n1, 1.0 - n1 * n1 * k, -n1 * n2 * k)
-    # u1 = v + d with d = R (cos(theta) - 1, sin(theta), 0), free of cancellation
-    return _clone_params((*v, *(vi + (c1 * vi + c2 * bi) for vi, bi in zip(v, b))))
+    return _frame_params((n0, -n1, -n2), (n1, 1.0 - n1 * n1 * k, -n1 * n2 * k), theta)
 
 
 def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
@@ -129,29 +102,14 @@ def _ascents(theta: float, raw: np.ndarray) -> list[tuple]:
     return list(zip(*(col.tolist() for col in run_starts(raw, theta))))
 
 
-def project_to_feasible(raw: CloneParams, theta: float) -> CloneParams:
-    """Project raw coefficients onto the feasible set for the given angle.
-
-    One closed-form orthogonal Procrustes step; already-feasible input is a
-    fixed point. Raises ValueError unless every coefficient is finite and at
-    most 2^1000 in magnitude; from about 6e307 on, the orbit coordinates or
-    U P(theta)^T overflow. Raises ProjectionError when no point is nearest
-    (all-zero rows, or antiparallel rows at theta = 0).
-    """
-    check_theta(theta)
-    if not all(abs(c) <= 2.0**1000 for c in (raw.a0, raw.b0, raw.d0, raw.a1, raw.b1, raw.d1)):
-        raise ValueError("coefficients must be finite, with magnitude at most 2^1000")
-    return _feasible_params(_orbit_vector(raw), theta)
-
-
 def random_feasible_params(theta: float, rng: np.random.Generator) -> CloneParams:
-    """A feasible point drawn by projecting a Gaussian sample.
-
-    The projection commutes with rotations, so the point is uniform on the
-    feasible orbit.
-    """
+    """A feasible point R P(theta), uniform on the orbit: R is Haar, from a Gaussian unit quaternion."""
     check_theta(theta)
-    return _feasible_params(rng.standard_normal(6), theta)
+    w, x, y, z = rng.standard_normal(4).tolist()
+    k = 2.0 / (w * w + x * x + y * y + z * z)
+    v = (1.0 - k * (y * y + z * z), k * (x * y + w * z), k * (x * z - w * y))
+    b = (k * (x * y - w * z), 1.0 - k * (x * x + z * z), k * (y * z + w * x))
+    return _frame_params(v, b, theta)
 
 
 def maximize_lambda(theta: float, config: OptimizerConfig | None = None) -> OptimizationReport:

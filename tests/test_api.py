@@ -18,7 +18,6 @@ PUBLIC_NAMES = (
     "OptimizationFailure",
     "OptimizationReport",
     "OptimizerConfig",
-    "ProjectionError",
     "RatePoint",
     "basis",
     "binary_convolution",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = (
     "optimal_params",
     "outer",
     "partial_trace",
-    "project_to_feasible",
     "pure_pair_error",
     "pure_pair_kets",
     "random_feasible_params",

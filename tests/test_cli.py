@@ -21,7 +21,7 @@ PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PI_2 = "1.5707963267948966"
 
 
-def run_qbc(*args):
+def run_qbc(*args, **kwargs):
     env = os.environ.copy()
     env.setdefault("PYTHONPATH", os.path.join(PKG_ROOT, "src"))
     return subprocess.run(
@@ -29,6 +29,7 @@ def run_qbc(*args):
         capture_output=True,
         text=True,
         env=env,
+        **kwargs,
     )
 
 
@@ -254,6 +255,22 @@ class TestUsageErrors:
         assert out.stdout == ""
         assert out.stderr.startswith(prefix)
         assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("discriminate", "--theta", "0.5"),
+            ("verify", "--seed", "1"),
+            ("sweep", "--theta-grid", "0:1:3"),
+        ],
+    )
+    def test_one_line_on_stderr(self, args):
+        # the child starts with file descriptor 1 closed, as after `>&-` in a shell
+        out = run_qbc(*args, preexec_fn=lambda: os.close(1))
+        assert out.returncode == 1
+        assert out.stderr == f"qbc {args[0]}: cannot write to stdout: it is closed\n"
 
 
 class TestGoldenBytes:

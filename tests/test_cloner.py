@@ -19,7 +19,7 @@ from qbc.cloner import (
 )
 from qbc.discrimination import binary_entropy, helstrom, pure_pair_error
 from qbc.errors import InfeasibleParamsError
-from qbc.optimizer import _clone_params, _orbit_vector, random_feasible_params
+from qbc.optimizer import _clone_params, random_feasible_params
 
 H_QUARTER = 0.5623351446188083  # -0.25 ln 0.25 - 0.75 ln 0.75
 
@@ -83,7 +83,11 @@ class TestCloneParamsType:
         for _ in range(200):
             theta = rng.uniform(0, math.pi / 2)
             p = random_feasible_params(theta, rng)
-            q = _clone_params(_orbit_vector(p))
+            r = math.sqrt(2.0)
+            q = _clone_params([
+                (p.a0 + p.d0) / r, (p.a0 - p.d0) / r, r * p.b0,
+                (p.a1 + p.d1) / r, (p.a1 - p.d1) / r, r * p.b1,
+            ])
             for f in ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1"):
                 assert getattr(q, f) == pytest.approx(getattr(p, f), abs=1e-15)
 

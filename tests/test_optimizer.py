@@ -15,56 +15,27 @@ from qbc.cloner import (
     lambda_objective,
     optimal_params,
 )
-from qbc.errors import OptimizationFailure, ProjectionError
+from qbc.errors import OptimizationFailure
 from qbc.optimizer import (
     OptimizerConfig,
     _ascents,
     _clone_params,
     _direction_params,
-    _orbit_vector,
     maximize_lambda,
-    project_to_feasible,
     random_feasible_params,
 )
 
 
-class TestProjectToFeasible:
-    def test_fixed_point(self):
-        p = optimal_params(0.8, 0.5)
-        q = project_to_feasible(p, 0.8)
-        for f in ("a0", "b0", "d0", "a1", "b1", "d1"):
-            assert getattr(q, f) == pytest.approx(getattr(p, f), abs=1e-12)
+def _orbit_point(p):
+    """The rows u0, u1 of the orbit point of p, u_i = ((a+d)/sqrt2, (a-d)/sqrt2, sqrt2 b)."""
+    r = math.sqrt(2.0)
+    return [((a + d) / r, (a - d) / r, r * b) for a, b, d in ((p.a0, p.b0, p.d0), (p.a1, p.b1, p.d1))]
 
-    def test_scaled_point_recovers_feasibility(self):
-        p = optimal_params(0.8, 0.5)
-        raw = CloneParams.symmetric(
-            1.01 * p.a0, 1.01 * p.b0, 1.01 * p.d0, 1.01 * p.a1, 1.01 * p.b1, 1.01 * p.d1
-        )
-        q = project_to_feasible(raw, 0.8)
-        assert np.max(np.abs(constraint_residuals(q, 0.8))) < 1e-12
 
-    def test_zeros_outside_basin(self):
-        with pytest.raises(ProjectionError):
-            project_to_feasible(CloneParams.symmetric(0, 0, 0, 0, 0, 0), 0.5)
-
-    def test_rejects_non_finite_and_huge_coefficients(self):
-        # a0 = d0 = 1e308 overflows a0 + d0 in the orbit coordinates
-        for a0, d0 in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (1e308, 1e308)):
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                project_to_feasible(CloneParams.symmetric(a0, 0.0, d0, 0.0, 1.0, 0.0), 0.7)
-
-    def test_largest_accepted_scale(self):
-        p = CloneParams.symmetric(0.3, -0.2, 0.9, 0.1, 0.5, -0.4)
-        big = CloneParams.symmetric(*(2.0**1000 * c for c in (0.3, -0.2, 0.9, 0.1, 0.5, -0.4)))
-        q, q_big = project_to_feasible(p, 0.7), project_to_feasible(big, 0.7)
-        np.testing.assert_allclose(q_big.row(0), q.row(0), atol=1e-15)
-        np.testing.assert_allclose(q_big.row(1), q.row(1), atol=1e-15)
-
+class TestRandomFeasibleParams:
     def test_fields_are_python_floats(self):
-        rng = np.random.default_rng(3)
-        raw = CloneParams.symmetric(0.3, -0.2, 0.9, 0.1, 0.5, -0.4)
-        for p in (random_feasible_params(0.6, rng), project_to_feasible(raw, 0.6)):
-            assert all(type(v) is float for v in vars(p).values()), p
+        p = random_feasible_params(0.6, np.random.default_rng(3))
+        assert all(type(v) is float for v in vars(p).values()), p
 
     def test_random_projections_feasible(self):
         rng = np.random.default_rng(41)
@@ -75,6 +46,35 @@ class TestProjectToFeasible:
         # the parallel target is met exactly: both rows coincide
         p = random_feasible_params(0.0, rng)
         np.testing.assert_array_equal(p.row(0), p.row(1))
+
+    def test_rotation_is_haar(self):
+        """At theta = pi/2 the rows are R e1 and R e2; their moments are those of Haar R.
+
+        For R uniform on SO(3), E[R e1] = E[R e2] = 0, E[R e1 (R e1)^T] =
+        E[R e2 (R e2)^T] = I/3 and E[R e1 (R e2)^T] = 0. The bounds are about
+        5 standard errors of the 20 000-draw sample means.
+        """
+        rng = np.random.default_rng(59)
+        rows = np.array([_orbit_point(random_feasible_params(math.pi / 2, rng)) for _ in range(20000)])
+        v, b = rows[:, 0], rows[:, 1]
+        n = len(rows)
+        for col in (v, b):
+            assert np.max(np.abs(col.mean(axis=0))) < 0.02
+            assert np.max(np.abs(col.T @ col / n - np.eye(3) / 3)) < 0.012
+        assert np.max(np.abs(v.T @ b / n)) < 0.012
+
+    def test_sampler_and_optimizer_run_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in ("svd", "det", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(61)
+        for theta in (0.0, 0.7, math.pi / 2):
+            p = random_feasible_params(theta, rng)
+            assert np.max(np.abs(constraint_residuals(p, theta))) < 1e-12
+            report = maximize_lambda(theta, OptimizerConfig(n_starts=8, seed=5))
+            assert report.lambda_max == pytest.approx(math.sin(theta) ** 2, rel=1e-9, abs=1e-300)
 
 
 def _rotate(x, phi):
@@ -145,7 +145,7 @@ class TestReduction:
             p = random_feasible_params(theta, rng)
             beta = rng.uniform(0.0, 2.0 * math.pi)
             c, s = math.cos(beta), math.sin(beta)
-            rows = [(x, c * y - s * z, s * y + c * z) for x, y, z in _orbit_vector(p).reshape(2, 3).tolist()]
+            rows = [(x, c * y - s * z, s * y + c * z) for x, y, z in _orbit_point(p)]
             q = _clone_params((*rows[0], *rows[1]))
             assert lambda_objective(q) == pytest.approx(lambda_objective(p), rel=1e-12), (theta, beta)
 
