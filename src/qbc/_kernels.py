@@ -1,4 +1,4 @@
-"""The optimizer's gradient ascent on the sphere S^2, on Python floats.
+"""The optimizer's ascent on the sphere S^2, by Newton and gradient steps, on Python floats.
 
 An optimizer point u = (u0, u1) holds the two rows of the cloning map in
 sphere coordinates (x_i, y_i, sqrt(2)*b_i), which qbc.optimizer alone
@@ -28,14 +28,29 @@ sin^2(theta) <= sin^2(theta), and the maximizers are the four points
 Above each lies a circle of rotations, that is, of equally good cloning
 maps.
 
-The step length uses the curvature at the optimum. There the Hessian of
-lambda on S^2 has eigenvalues {-8, -2} sin^2(theta) at every theta. A
-fixed step length t (in units of 1/sin^2(theta)) shrinks the gradient by
-max(|1 - 8t|, |1 - 2t|) per step, at best 0.6 at t = 0.2, where a doubling
-ladder settles. The two-point (Barzilai-Borwein) length adapts to both
-curvatures and takes about half the iterations (Barzilai and Borwein, IMA
-J. Numer. Anal. 8, 1988; on manifolds, Iannazzo and Porcelli, IMA J.
-Numer. Anal. 38, 2018).
+The step uses the curvature. Write lambda = F(x0, e) with S = 2 x0 + e.
+Its second derivatives are
+
+    F_xx = 8 (h^2 - e^2),
+    F_xe = 4 (h^2 - e^2) - 8 S e,
+    F_ee = 2 (1 - S^2) - 8 S e - 2 e^2,
+
+and with e = c1 n0 + c2 n1, (c1, c2) = (-2 h^2, sin(theta)), the Euclidean
+Hessian of lambda is zero outside its (n0, n1) block, which is
+
+    H00 = F_xx + 2 c1 F_xe + c1^2 F_ee,
+    H01 = c2 (F_xe + c1 F_ee),
+    H11 = c2^2 F_ee.
+
+The Riemannian Hessian in a tangent basis t_i at n is t_i^T H t_j -
+(n . grad_E lambda) delta_ij (Absil, Mahony and Sepulchre, ch. 5), and the
+ascent keeps it divided by sin^2(theta), so its entries are O(1) at every
+theta. At the optimum its eigenvalues are {-8, -2} sin^2(theta), where a
+fixed gradient step t (in units of 1/sin^2(theta)) shrinks the gradient by
+max(|1 - 8t|, |1 - 2t|) per step, at best 0.6 at t = 0.2. Where this 2x2
+Hessian is negative definite, Newton's step -H^-1 grad converges
+quadratically instead (ibid., ch. 6); elsewhere the ascent takes gradient
+steps.
 """
 
 import math
@@ -47,19 +62,22 @@ from . import tolerances as tol
 
 
 def ascend(start, theta):
-    """Riemannian gradient ascent on S^2 from the direction of start.
+    """Riemannian ascent on S^2 from the direction of start, by Newton and gradient steps.
 
     start is a nonzero 3-vector of floats; the ascent begins at its unit
-    vector n. A step moves n along the great circle through the gradient
-    grad, n -> n cos(a) + (grad/|grad|) sin(a) with a = t |grad| /
-    sin^2(theta), and t is halved from its first trial until the Armijo
-    test passes. The first iteration's first trial is OPTIMIZER_STEP_INIT.
-    Later ones take the BB1 length t = -(s.s)/(s.y) sin^2(theta), from the
-    last accepted step s = t grad / sin^2(theta) and the change y of grad
-    over it, both as vectors in R^3, capped at a step angle of pi; when
-    s.y >= 0 there is no curvature to use, and the trial is twice the last
-    accepted t. The objective and its curvature both scale with
-    sin^2(theta), so t and the certificate are free of theta.
+    vector n. Every step moves n along a great circle, n -> n cos(a) +
+    (xi/|xi|) sin(a) with a = |xi| for a tangent vector xi.
+
+    From the second iteration on, the step first tries Newton's xi =
+    -H^-1 grad, with H the 2x2 Riemannian Hessian in the tangent basis
+    a = grad/|grad|, b = n x a (see the module docstring). It is tried only
+    when H is negative definite and |xi| <= pi, and accepted when it passes
+    the Armijo test lambda_new >= lambda + 1e-4 grad.xi. Otherwise the
+    step is a gradient step, xi = t grad / sin^2(theta), with t halved from
+    its first trial until the Armijo test passes: OPTIMIZER_STEP_INIT on the
+    first iteration, after that twice the last accepted gradient t. The
+    objective, its gradient and H all scale with sin^2(theta), so H is kept
+    divided by it, and t and the certificate are free of theta.
 
     Returns (n, objective, |grad|, iterations, converged), n being the end
     point as 3 floats. Converged means |grad| <= OPTIMIZER_GRAD_TOL *
@@ -94,13 +112,41 @@ def ascend(start, theta):
         gnorm = math.hypot(g0, g1, g2)
         if degenerate or gnorm <= grad_tol * s2 or it == max_iters:
             break
-        step = step_try
         if it:
-            # BB1 from the last step p and the change of grad over it, capped
-            # at a step angle of pi
-            sy = p0 * (g0 - gl0) + p1 * (g1 - gl1) + p2 * (g2 - gl2)
-            if sy < 0.0:
-                step = min((p0 * p0 + p1 * p1 + p2 * p2) / -sy * s2, math.pi * s2 / gnorm)
+            # the Euclidean Hessian's (n0, n1) block over sin^2(theta), with
+            # c2^2 = s2 and c2/s2 = 1/c2 cancelled
+            d = hh - e * e
+            fxe = 4.0 * d - 8.0 * sm * e
+            fee = 2.0 * (1.0 - sm * sm) - 8.0 * sm * e - 2.0 * e * e
+            h00 = (8.0 * d + c1 * (fxe + fxe + c1 * fee)) / s2
+            h01 = (fxe + c1 * fee) / c2
+            # the tangent basis a = grad/|grad|, b = n x a
+            a0, a1, a2 = g0 / gnorm, g1 / gnorm, g2 / gnorm
+            b0, b1 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2
+            b2 = n0 * a1 - n1 * a0
+            curv = gn / s2
+            haa = a0 * (a0 * h00 + 2.0 * a1 * h01) + a1 * a1 * fee - curv
+            hab = a0 * b0 * h00 + (a0 * b1 + a1 * b0) * h01 + a1 * b1 * fee
+            hbb = b0 * (b0 * h00 + 2.0 * b1 * h01) + b1 * b1 * fee - curv
+            det = haa * hbb - hab * hab
+            if haa < 0.0 and det > 0.0:
+                # xi = -H^-1 (|grad|/s2, 0) in the basis (a, b)
+                w = gnorm / s2 / det
+                xa, xb = -w * hbb, w * hab
+                angle = math.hypot(xa, xb)
+                if angle <= math.pi:
+                    c = math.cos(angle)
+                    s = math.sin(angle) / angle
+                    ta, tb = xa * s, xb * s
+                    x0, x1, x2 = n0 * c + a0 * ta + b0 * tb, n1 * c + a1 * ta + b1 * tb, n2 * c + a2 * ta + b2 * tb
+                    e_c = c1 * x0 + c2 * x1
+                    sm_c = x0 + x0 + e_c
+                    lam_c = e_c * e_c * (1.0 - sm_c * sm_c) + 4.0 * hh * x0 * (x0 + e_c)
+                    if lam_c >= lam + 1e-4 * gnorm * xa:
+                        n0, n1, n2, e, sm, lam = x0, x1, x2, e_c, sm_c, lam_c
+                        it += 1
+                        continue
+        step = step_try
         while step > 1e-12:
             angle = step * (gnorm / s2)
             c = math.cos(angle)
@@ -116,10 +162,7 @@ def ascend(start, theta):
         else:
             # no step increases the objective: its rounding floor
             break
-        scale = step / s2
-        p0, p1, p2 = g0 * scale, g1 * scale, g2 * scale
         step_try = 2.0 * step
-        gl0, gl1, gl2 = g0, g1, g2
         it += 1
     return (n0, n1, n2), lam, gnorm, it, degenerate or gnorm <= grad_tol * s2
 

@@ -10,6 +10,7 @@ error, reported on stderr as one line ``qbc <cmd>: <message>``.
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import reports, verify
@@ -116,6 +117,31 @@ def _write_stdout(text: str) -> None:
     sys.stdout.flush()
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path, leaving a regular file whole or as it was.
+
+    A symlink is followed first, so it keeps pointing at its target. A
+    regular file, or a path that does not exist yet, gets the text through a
+    temporary file beside it that then replaces it, so a failed write leaves
+    the old bytes; the new file's mode follows the umask. Anything else, a
+    device or a FIFO, is written in place. OSError when the write fails.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
+
+
 def _emit_json(obj) -> None:
     _write_stdout(json.dumps(obj, indent=2) + "\n")
 
@@ -163,8 +189,7 @@ def _cmd_sweep(args) -> int:
         _write_stdout(payload)
     else:
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+            _write_file(args.out, payload)
         except OSError as exc:
             sys.stderr.write(f"qbc sweep: cannot write {args.out}: {exc}\n")
             return 1

@@ -8,8 +8,8 @@ conversion from sphere coordinates to CloneParams. random_feasible_params
 takes R from a normalized Gaussian 4-vector read as a unit quaternion, which
 is Haar-uniform on SO(3) (Shoemake 1992). The objective is unchanged when
 both rows rotate about the x axis, so it depends on R only through its first
-row n, and the search is multi-start Riemannian gradient ascent on the
-sphere of those n (see qbc._kernels). Starts are normalized Gaussian
+row n, and the search is multi-start Riemannian ascent, by Newton and
+gradient steps, on the sphere of those n (see qbc._kernels). Starts are normalized Gaussian
 3-vectors; each ascent is deterministic, so a fixed seed reproduces the
 report bit for bit. Only the best converged n becomes a cloning map, through
 one closed-form rotation whose first row is n. Nothing here calls numpy.linalg.

@@ -20,8 +20,9 @@ RECONSTRUCTION_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 
 # Optimizer ascent: first trial step, relative gradient tolerance and
-# iteration cap. OPTIMIZER_STEP_INIT is only the first iteration's first
-# trial; later line searches start from the Barzilai-Borwein length. A start
+# iteration cap. OPTIMIZER_STEP_INIT is the first iteration's first trial
+# step; later gradient steps start from twice the last accepted one, and
+# Newton steps take their own length. A start
 # converges once |grad| <= OPTIMIZER_GRAD_TOL * sin^2(theta). The line
 # search stops seeing gains near 1e-8 of that scale, where the objective
 # rounds.
