@@ -122,8 +122,7 @@ def ascend(start, theta):
             h01 = (fxe + c1 * fee) / c2
             # the tangent basis a = grad/|grad|, b = n x a
             a0, a1, a2 = g0 / gnorm, g1 / gnorm, g2 / gnorm
-            b0, b1 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2
-            b2 = n0 * a1 - n1 * a0
+            b0, b1, b2 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0
             curv = gn / s2
             haa = a0 * (a0 * h00 + 2.0 * a1 * h01) + a1 * a1 * fee - curv
             hab = a0 * b0 * h00 + (a0 * b1 + a1 * b0) * h01 + a1 * b1 * fee
@@ -138,7 +137,9 @@ def ascend(start, theta):
                     c = math.cos(angle)
                     s = math.sin(angle) / angle
                     ta, tb = xa * s, xb * s
-                    x0, x1, x2 = n0 * c + a0 * ta + b0 * tb, n1 * c + a1 * ta + b1 * tb, n2 * c + a2 * ta + b2 * tb
+                    x0 = n0 * c + a0 * ta + b0 * tb
+                    x1 = n1 * c + a1 * ta + b1 * tb
+                    x2 = n2 * c + a2 * ta + b2 * tb
                     e_c = c1 * x0 + c2 * x1
                     sm_c = x0 + x0 + e_c
                     lam_c = e_c * e_c * (1.0 - sm_c * sm_c) + 4.0 * hh * x0 * (x0 + e_c)
