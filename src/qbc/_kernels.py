@@ -112,6 +112,10 @@ def ascend(start, theta):
         gnorm = math.hypot(g0, g1, g2)
         if degenerate or gnorm <= grad_tol * s2 or it == max_iters:
             break
+        # the tangent basis a = grad/|grad|, b = n x a
+        a0, a1, a2 = g0 / gnorm, g1 / gnorm, g2 / gnorm
+        b0, b1, b2 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0
+        newton = False
         if it:
             # the Euclidean Hessian's (n0, n1) block over sin^2(theta), with
             # c2^2 = s2 and c2/s2 = 1/c2 cancelled
@@ -120,9 +124,6 @@ def ascend(start, theta):
             fee = 2.0 * (1.0 - sm * sm) - 8.0 * sm * e - 2.0 * e * e
             h00 = (8.0 * d + c1 * (fxe + fxe + c1 * fee)) / s2
             h01 = (fxe + c1 * fee) / c2
-            # the tangent basis a = grad/|grad|, b = n x a
-            a0, a1, a2 = g0 / gnorm, g1 / gnorm, g2 / gnorm
-            b0, b1, b2 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0
             curv = gn / s2
             haa = a0 * (a0 * h00 + 2.0 * a1 * h01) + a1 * a1 * fee - curv
             hab = a0 * b0 * h00 + (a0 * b1 + a1 * b0) * h01 + a1 * b1 * fee
@@ -133,37 +134,37 @@ def ascend(start, theta):
                 w = gnorm / s2 / det
                 xa, xb = -w * hbb, w * hab
                 angle = math.hypot(xa, xb)
-                if angle <= math.pi:
-                    c = math.cos(angle)
-                    s = math.sin(angle) / angle
-                    ta, tb = xa * s, xb * s
-                    x0 = n0 * c + a0 * ta + b0 * tb
-                    x1 = n1 * c + a1 * ta + b1 * tb
-                    x2 = n2 * c + a2 * ta + b2 * tb
-                    e_c = c1 * x0 + c2 * x1
-                    sm_c = x0 + x0 + e_c
-                    lam_c = e_c * e_c * (1.0 - sm_c * sm_c) + 4.0 * hh * x0 * (x0 + e_c)
-                    if lam_c >= lam + 1e-4 * gnorm * xa:
-                        n0, n1, n2, e, sm, lam = x0, x1, x2, e_c, sm_c, lam_c
-                        it += 1
-                        continue
+                newton = angle <= math.pi
+        # the trial xi = (xa, xb) in the basis (a, b), moved by angle |xi|:
+        # Newton's first, if any, then gradient steps (t |grad|/s2, 0) with t
+        # halved down to the floor
         step = step_try
-        while step > 1e-12:
-            angle = step * (gnorm / s2)
+        while newton or step > 1e-12:
+            if not newton:
+                xa = angle = step * (gnorm / s2)
+                xb = 0.0
             c = math.cos(angle)
-            s = math.sin(angle) / gnorm
-            x0, x1, x2 = n0 * c + g0 * s, n1 * c + g1 * s, n2 * c + g2 * s
+            s = math.sin(angle) / angle
+            ta, tb = xa * s, xb * s
+            x0 = n0 * c + a0 * ta + b0 * tb
+            x1 = n1 * c + a1 * ta + b1 * tb
+            x2 = n2 * c + a2 * ta + b2 * tb
             e_c = c1 * x0 + c2 * x1
             sm_c = x0 + x0 + e_c
             lam_c = e_c * e_c * (1.0 - sm_c * sm_c) + 4.0 * hh * x0 * (x0 + e_c)
-            if lam_c > lam + 1e-4 * step * gnorm * (gnorm / s2):
+            armijo = lam + 1e-4 * gnorm * xa
+            # a gradient step must gain, so the ladder stops at the rounding floor
+            if lam_c > armijo or (newton and lam_c == armijo):
                 n0, n1, n2, e, sm, lam = x0, x1, x2, e_c, sm_c, lam_c
+                if not newton:
+                    step_try = 2.0 * step
                 break
-            step *= 0.5
+            if not newton:
+                step *= 0.5
+            newton = False
         else:
             # no step increases the objective: its rounding floor
             break
-        step_try = 2.0 * step
         it += 1
     return (n0, n1, n2), lam, gnorm, it, degenerate or gnorm <= grad_tol * s2
 

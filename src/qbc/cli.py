@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 
 from . import reports, verify
@@ -123,17 +124,24 @@ def _write_file(path: str, text: str) -> None:
     A symlink is followed first, so it keeps pointing at its target. A
     regular file, or a path that does not exist yet, gets the text through a
     temporary file beside it that then replaces it, so a failed write leaves
-    the old bytes; the new file's mode follows the umask. Anything else, a
-    device or a FIFO, is written in place. OSError when the write fails.
+    the old bytes. A replaced file keeps its mode; a new one's follows the
+    umask. Anything else, a device or a FIFO, is written in place. OSError
+    when the write fails.
     """
     path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        if old is not None:
+            os.fchmod(fd, stat.S_IMODE(old.st_mode))
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

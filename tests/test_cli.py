@@ -225,20 +225,27 @@ class TestSweep:
         if via_link:
             assert os.readlink(out_path) == str(target)
 
-    def test_write_through_a_link_replaces_its_target(self, tmp_path):
+    @pytest.mark.parametrize("mode", [0o600, 0o666])
+    def test_write_through_a_link_keeps_the_target_and_its_mode(self, tmp_path, mode):
         target, link = tmp_path / "out.csv", tmp_path / "link.csv"
         target.write_text("old\n")
         link.symlink_to(target)
-        os.chmod(target, 0o600)
+        os.chmod(target, mode)
         args = ("sweep", "--theta-grid", "0:1:3", "--format", "csv")
         assert run_qbc(*args, "--out", str(link)).returncode == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == run_qbc(*args).stdout
-        # the new file's mode follows the umask, not the old file's or mkstemp's 0600
+        # the old mode, not the umask's
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_qbc("sweep", "--theta-grid", "0:1:3", "--out", str(out)).returncode == 0
         umask = os.umask(0)
         os.umask(umask)
-        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv"]
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "out.fifo"

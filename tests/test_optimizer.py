@@ -307,7 +307,7 @@ def test_ascent_golden_digest():
     digest = hashlib.sha1()
     for theta, start in _golden_starts():
         digest.update(repr(ascend(start, theta)).encode())
-    assert digest.hexdigest()[:12] == "e2354d2c2a7e"
+    assert digest.hexdigest()[:12] == "320e938bf989"
 
 
 def test_ascent_iteration_count():

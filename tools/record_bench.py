@@ -1,15 +1,15 @@
 """Record the benchmark's figures for the source checkout this script sits in.
 
-    python3 tools/record_bench.py BENCH_<n>.json [--seed 7]
+    python3 tools/record_bench.py BENCH_<n>.json
 
-Runs the command that BENCHMARK.json declares (qbcbench/run.py, unchanged),
-each run lasting BENCHMARK.json's run_seconds: RUNS untraced runs per
-workload, round-robin over the workloads, then one traced run of each, then
-one timed run of the tier-1 test suite. The output file holds the environment, each
-end-to-end metric's median, quartiles, (Q3 - Q1)/median and raw values per
-workload, the traced per-layer metrics, and the tier-1 count and wall time.
-Exits 1 when a run is not correct or has failed ops; the file is written
-either way.
+Runs the command that BENCHMARK.json declares (qbcbench/run.py, unchanged)
+at seed SEED, each run lasting BENCHMARK.json's run_seconds: RUNS untraced
+runs per workload, round-robin over the workloads, then one traced run of
+each, then one timed run of the tier-1 test suite. The output file holds the
+environment, each end-to-end metric's median, quartiles, (Q3 - Q1)/median
+and raw values per workload, the traced per-layer metrics, and the tier-1
+count and wall time. Exits 1 when a run is not correct or has failed ops;
+the file is written either way.
 """
 
 import argparse
@@ -24,6 +24,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = 10
+SEED = 7
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -74,7 +75,6 @@ def tier1() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="output JSON path")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
 
     def run(workload, trace):
         print(f"record_bench: {workload} trace={trace}", file=sys.stderr, flush=True)
-        r = bench_run(bench["command"], workload, args.seed, seconds, trace)
+        r = bench_run(bench["command"], workload, SEED, seconds, trace)
         if not r["correct"] or r["failed"]:
             problems.append(f"{workload} trace={trace}: correct={r['correct']} failed={r['failed']}")
         return r
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             "git_head": git_head(),
             "path": "plain-python",
         },
-        "seed": args.seed,
+        "seed": SEED,
         "run_seconds": seconds,
         "runs": RUNS,
         "end_to_end": {
