@@ -225,7 +225,7 @@ class TestSweep:
         if via_link:
             assert os.readlink(out_path) == str(target)
 
-    @pytest.mark.parametrize("mode", [0o600, 0o666])
+    @pytest.mark.parametrize("mode", [0o600, 0o666], ids=oct)
     def test_write_through_a_link_keeps_the_target_and_its_mode(self, tmp_path, mode):
         target, link = tmp_path / "out.csv", tmp_path / "link.csv"
         target.write_text("old\n")
