@@ -55,10 +55,13 @@ class CloneParams:
         return cls(a0=a0, b0=b0, c0=b0, d0=d0, a1=a1, b1=b1, c1=b1, d1=d1)
 
     def row(self, which: int) -> np.ndarray:
+        return np.array(self._coeffs(which))
+
+    def _coeffs(self, which: int) -> tuple[float, float, float, float]:
         if which == 0:
-            return np.array([self.a0, self.b0, self.c0, self.d0])
+            return self.a0, self.b0, self.c0, self.d0
         if which == 1:
-            return np.array([self.a1, self.b1, self.c1, self.d1])
+            return self.a1, self.b1, self.c1, self.d1
         raise ValueError(f"row index must be 0 or 1, got {which}")
 
 
@@ -90,8 +93,8 @@ def constraint_residuals(params: CloneParams, theta: float) -> np.ndarray:
 
 def clone_state(params: CloneParams, which: int) -> np.ndarray:
     """Two-qubit output state for input 0 or 1."""
-    sigma = hilbert.ket(params.row(which))
-    norm2 = float(np.vdot(sigma, sigma).real)
+    sigma = hilbert.ket(params._coeffs(which))
+    norm2 = sum(x * x for x in params._coeffs(which))
     if abs(norm2 - 1.0) > tol.VALIDATION_TOL:
         raise InfeasibleParamsError(
             f"clone state norm^2 = {norm2} deviates from 1 beyond {tol.VALIDATION_TOL}"
@@ -111,19 +114,17 @@ def marginal_closed_form(theta: float, phi: float) -> tuple[np.ndarray, np.ndarr
     rho_0 and rho_1 differ by sin(theta) (cos(phi) sigma_z + sin(phi) sigma_x),
     so their difference has eigenvalues +-sin(theta) for every phi.
     """
+    return tuple(hilbert._readonly(np.array(rows, dtype=np.complex128)) for rows in _marginal_rows(theta, phi))
+
+
+def _marginal_rows(theta: float, phi: float) -> tuple[list, list]:
+    """The rows of marginal_closed_form's two matrices as real Python floats."""
     check_theta(theta)
     check_phi(phi)
     t = math.sin(theta) * math.cos(phi)
     u = math.sin(theta) * math.sin(phi)
-    rho0 = np.array(
-        [[0.5 * (1.0 + t), 0.5 * u], [0.5 * u, 0.5 * (1.0 - t)]], dtype=np.complex128
-    )
-    rho1 = np.array(
-        [[0.5 * (1.0 - t), -0.5 * u], [-0.5 * u, 0.5 * (1.0 + t)]], dtype=np.complex128
-    )
-    rho0.setflags(write=False)
-    rho1.setflags(write=False)
-    return rho0, rho1
+    a, b, d = 0.5 * (1.0 + t), 0.5 * u, 0.5 * (1.0 - t)
+    return [[a, b], [b, d]], [[d, -b], [-b, a]]
 
 
 def lambda_objective(params: CloneParams) -> float:

@@ -11,7 +11,6 @@ and 4; each POVM element is then checked through hilbert.hermitian_eig.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -83,33 +82,26 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
     """
     if rho0.shape != rho1.shape:
         raise ValueError("dimension mismatch between states")
-    diff = rho0 - rho1
-    dec = hilbert.hermitian_eig(diff)
+    dec = hilbert.hermitian_eig(rho0 - rho1)
     evals = dec.eigenvalues.tolist()
     pi0, pi1 = _sign_split(evals, dec.eigenvectors.tolist())
     error = 0.5 - sum(sorted(abs(lam) for lam in evals)) / 4.0
     return DiscriminationResult(povm=BinaryPOVM(pi0=pi0, pi1=pi1), error_prob=error)
 
 
-def _sign_split(evals: list, vecs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Pi0 = I - Pi1 and Pi1, the projector onto the negative eigenspace.
+def _sign_split(evals: list, vecs: list) -> tuple[list, list]:
+    """Rows of Pi0 = I - Pi1 and Pi1, the projector onto the negative eigenspace.
 
-    Pi1 sums v v^H onto zeros entry by entry, so it is exactly Hermitian, and
-    Pi0 takes 0 - x, plus 1 on the diagonal, so neither element holds a -0.0
+    Pi1 sums v v^H onto zeros entry by entry, so it is exactly Hermitian;
+    Pi0 is 1 - x on the diagonal and 0 - x off it, so neither holds a -0.0
     that the printed POVM would show. Component i of eigenvector k is vecs[i][k].
     """
-    n = len(evals)
-    pi1 = [0j] * (n * n)  # row-major, as are the pairs of product(v, v)
+    pi1 = [[0j] * len(evals) for _ in evals]
     for lam, v in zip(evals, zip(*vecs)):
         if lam < 0.0:
-            pi1 = [p + x * y.conjugate() for p, (x, y) in zip(pi1, product(v, v))]
-    pi0 = [complex(0.0 - z.real, 0.0 - z.imag) for z in pi1]
-    for k in range(0, n * n, n + 1):
-        pi0[k] += 1.0
-    return (
-        np.array(pi0, dtype=np.complex128).reshape(n, n),
-        np.array(pi1, dtype=np.complex128).reshape(n, n),
-    )
+            pi1 = [[p + x * y.conjugate() for p, y in zip(row, v)] for row, x in zip(pi1, v)]
+    pi0 = [[complex(float(i == j) - z.real, 0.0 - z.imag) for j, z in enumerate(r)] for i, r in enumerate(pi1)]
+    return pi0, pi1
 
 
 def pure_pair_kets(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +148,7 @@ def clone_povm_closed_form(phi: float) -> BinaryPOVM:
     check_phi(phi)
     c = math.cos(phi / 2.0)
     s = math.sin(phi / 2.0)
-    plus = np.array([c, s], dtype=np.complex128)
-    minus = np.array([-s, c], dtype=np.complex128)
-    return BinaryPOVM(pi0=np.outer(plus, plus.conj()), pi1=np.outer(minus, minus.conj()))
+    plus, minus = (complex(c), complex(s)), (complex(-s), complex(c))
+    # entry (i, j) of |v><v| is the complex product v_i conj(v_j)
+    pi0, pi1 = ([[x * y.conjugate() for y in v] for x in v] for v in (plus, minus))
+    return BinaryPOVM(pi0=pi0, pi1=pi1)

@@ -41,7 +41,7 @@ def ket(amplitudes) -> np.ndarray:
     amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
     if amp.shape[0] not in _DIMS:
         raise ValueError(f"ket dimension must be 2 or 4, got {amp.shape[0]}")
-    if not np.all(np.isfinite(amp.view(np.float64))):
+    if not all(map(math.isfinite, amp.view(np.float64).tolist())):
         raise ValueError("ket amplitudes must be finite")
     return _readonly(amp)
 

@@ -56,8 +56,10 @@ class CheckResult:
 
     def add(self, deviation: float, context: str) -> None:
         self.count += 1
-        self.max_deviation = max(self.max_deviation, deviation)
-        if deviation > self.tolerance and self.first_failure is None:
+        # a NaN deviation fails the check and stays the reported max
+        if math.isnan(deviation) or deviation > self.max_deviation:
+            self.max_deviation = deviation
+        if not deviation <= self.tolerance and self.first_failure is None:
             self.first_failure = f"{context}: deviation {deviation:.6e} > tolerance {self.tolerance:.1e}"
 
 

@@ -283,6 +283,17 @@ class TestSweep:
 
 
 class TestVerifyHook:
+    def test_nan_deviation_fails(self):
+        # max(0.0, nan) is 0.0 and nan > tolerance is False: neither may hide a NaN
+        for deviations, nan_case in (([1e-10, math.nan, 2e-10], 1), ([math.nan, 2e-10], 0)):
+            check = verify.CheckResult("suite", "row", 1e-9)
+            for k, deviation in enumerate(deviations):
+                check.add(deviation, f"case {k}")
+            assert check.count == len(deviations)
+            assert not check.passed
+            assert check.first_failure.startswith(f"case {nan_case}: deviation nan")
+            assert math.isnan(check.max_deviation)
+
     def test_corrupted_tolerance_fails(self, monkeypatch, capsys):
         # negative control on the gate: with every tolerance at -1, every check must fail
         add = verify.CheckResult.add

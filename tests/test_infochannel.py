@@ -10,7 +10,7 @@ import pytest
 
 from qbc import infochannel
 from qbc.discrimination import BinaryPOVM, clone_povm_closed_form, helstrom, pure_pair_error
-from qbc.cloner import clone_state, marginal_closed_form, optimal_params
+from qbc.cloner import clone_state, marginal_closed_form, marginals, optimal_params
 from qbc.infochannel import (
     BinaryChannel,
     JointDistribution,
@@ -95,6 +95,16 @@ class TestJointCloneChannel:
                 np.testing.assert_allclose(joint[:, :, x].sum(axis=1), ch.p[:, x], atol=1e-12)
                 np.testing.assert_allclose(joint[:, :, x].sum(axis=0), ch.p[:, x], atol=1e-12)
 
+    def test_marginals_match_induced_channel_to_rounding(self):
+        # the bound the docstring states; the gap is nonzero for most inputs
+        rng = np.random.default_rng(8)
+        for theta, phi in zip(rng.uniform(0, math.pi / 2, 2000).tolist(), rng.uniform(0, 2 * math.pi, 2000).tolist()):
+            povm = clone_povm_closed_form(phi)
+            joint = joint_clone_channel(theta, phi, povm)
+            ch = induced_channel(theta, phi, povm).p
+            for axis in (0, 1):
+                assert np.max(np.abs(joint.sum(axis=axis) - ch)) <= 3.5 * 2.0**-52, (theta, phi)
+
     def test_clone_outcomes_are_correlated(self):
         # entanglement shows up as a gap between the joint law and the
         # product of its marginals
@@ -138,6 +148,35 @@ class TestJointCloneChannel:
                 for povm in povms:
                     h.update(joint_clone_channel(theta, phi, povm).tobytes())
         assert h.hexdigest()[:12] == "80cbc3d0325c"
+
+    def test_pipeline_golden_bytes(self):
+        # sha1 prefix of the values one pipeline point passes along, on a
+        # seeded (theta, phi, epsilon) grid with its endpoints: the clone kets
+        # and marginals, the closed-form and Helstrom POVMs and error, the
+        # induced channel and its cascade behind BSC(epsilon). No LAPACK
+        # runs. A change here is to be recorded in CHANGES.md.
+        rng = np.random.default_rng(23)
+        grid = [(0.0, 0.0, 0.0), (math.pi / 2, math.pi, 0.5), (1e-8, 3.0, 1e-12)]
+        grid += [
+            (float(t), float(p), float(e))
+            for t, p, e in zip(rng.uniform(0, math.pi / 2, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, 0.5, 40))
+        ]
+        h = hashlib.sha1()
+        for theta, phi, eps in grid:
+            params = optimal_params(theta, phi)
+            for x in range(2):
+                sigma = clone_state(params, x)
+                h.update(sigma.tobytes())
+                for rho in marginals(sigma):
+                    h.update(rho.tobytes())
+            povm = clone_povm_closed_form(phi)
+            decode = helstrom(*marginal_closed_form(theta, phi))
+            channel = induced_channel(theta, phi, povm)
+            for elem in (povm.pi0, povm.pi1, decode.povm.pi0, decode.povm.pi1, channel.p):
+                h.update(elem.tobytes())
+            h.update(struct.pack("<d", decode.error_prob))
+            h.update(cascade_joint_channels(bsc(eps), channel).table.tobytes())
+        assert h.hexdigest()[:12] == "0ecf7226f649"
 
 
 # induced channels whose columns differ by only sin(theta); solving through
