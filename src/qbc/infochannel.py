@@ -123,16 +123,17 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
     p = optimal_params(theta, phi)
     elems = (povm.pi0.tolist(), povm.pi1.tolist())
     out = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    for x, s in enumerate((((p.a0, p.b0), (p.c0, p.d0)), ((p.a1, p.b1), (p.c1, p.d1)))):
-        # sigma's component 2j+k is the real s[j][k] (system j, clone k), so
+    for x, (s00, s01, s10, s11) in enumerate(((p.a0, p.b0, p.c0, p.d0), (p.a1, p.b1, p.c1, p.d1))):
+        # sigma's component 2j+k is the real s_jk (system j, clone k), so
         # <sigma|A (x) B|sigma> = sum_ij A_ij C_ij with C = s B s^T
         for z, ((b00, b01), (b10, b11)) in enumerate(elems):
-            # row i of s B, then its products with the rows of s
-            sb = [(u0 * b00 + u1 * b10, u0 * b01 + u1 * b11) for u0, u1 in s]
-            c = [[w0 * v0 + w1 * v1 for v0, v1 in s] for w0, w1 in sb]
+            # the rows of s B, then their products with the rows of s
+            t00, t01 = s00 * b00 + s01 * b10, s00 * b01 + s01 * b11
+            t10, t11 = s10 * b00 + s11 * b10, s10 * b01 + s11 * b11
+            c00, c01 = t00 * s00 + t01 * s01, t00 * s10 + t01 * s11
+            c10, c11 = t10 * s00 + t11 * s01, t10 * s10 + t11 * s11
             for y, ((a00, a01), (a10, a11)) in enumerate(elems):
-                val = (a00 * c[0][0] + a01 * c[0][1]) + (a10 * c[1][0] + a11 * c[1][1])
-                out[y][z][x] = max(0.0, val.real)
+                out[y][z][x] = max(0.0, ((a00 * c00 + a01 * c01) + (a10 * c10 + a11 * c11)).real)
     table = np.array(out)
     table.setflags(write=False)
     return table
@@ -199,15 +200,14 @@ def _marginal_table(joint: JointDistribution, keep: tuple[str, ...]) -> np.ndarr
     Raises ValueError when keep names a variable the law lacks, or one
     variable twice.
     """
-    axes = tuple(joint.axis(name) for name in keep)
-    repeated = [name for i, name in enumerate(keep) if name in keep[:i]]
-    if repeated:
-        raise ValueError(f"variable {repeated[0]!r} is named twice in {keep}: the arguments must differ")
+    axes = [joint.axis(name) for name in keep]
+    if len(set(axes)) < len(axes):
+        repeated = next(name for i, name in enumerate(keep) if name in keep[:i])
+        raise ValueError(f"variable {repeated!r} is named twice in {keep}: the arguments must differ")
     drop = tuple(i for i in range(len(joint.vars)) if i not in axes)
     summed = joint.table.sum(axis=drop) if drop else joint.table
     # summing keeps surviving axes in original order; permute to keep order
-    ranks = [sorted(axes).index(a) for a in axes]
-    return np.transpose(summed, ranks)
+    return summed.transpose([sorted(axes).index(a) for a in axes])
 
 
 def mutual_information(joint: JointDistribution, var_a: str, var_b: str) -> float:
@@ -236,14 +236,14 @@ def _information(slices) -> float:
     info = 0.0
     for pab, w in slices:
         pa, pb = [r0 + r1 for r0, r1 in pab], [c0 + c1 for c0, c1 in zip(*pab)]
-        for i, row in enumerate(pab):
-            for j, p in enumerate(row):
+        for row, a in zip(pab, pa):
+            for p, b in zip(row, pb):
                 if p > 0.0:
-                    num, den = p * w, pa[i] * pb[j]
+                    num, den = p * w, a * b
                     if num > 0.0 and den >= sys.float_info.min:
                         info += p * math.log(num / den)
                     else:
-                        info += p * (math.log(p) + math.log(w) - math.log(pa[i]) - math.log(pb[j]))
+                        info += p * (math.log(p) + math.log(w) - math.log(a) - math.log(b))
     return info
 
 
