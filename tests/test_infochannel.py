@@ -98,7 +98,7 @@ class TestJointCloneChannel:
     def test_marginals_match_induced_channel_to_rounding(self):
         # the bound the docstring states; the gap is nonzero for most inputs
         rng = np.random.default_rng(8)
-        for theta, phi in zip(rng.uniform(0, math.pi / 2, 2000).tolist(), rng.uniform(0, 2 * math.pi, 2000).tolist()):
+        for theta, phi in zip(*[rng.uniform(0, top, 2000).tolist() for top in (math.pi / 2, 2 * math.pi)]):
             povm = clone_povm_closed_form(phi)
             joint = joint_clone_channel(theta, phi, povm)
             ch = induced_channel(theta, phi, povm).p
@@ -157,10 +157,7 @@ class TestJointCloneChannel:
         # runs. A change here is to be recorded in CHANGES.md.
         rng = np.random.default_rng(23)
         grid = [(0.0, 0.0, 0.0), (math.pi / 2, math.pi, 0.5), (1e-8, 3.0, 1e-12)]
-        grid += [
-            (float(t), float(p), float(e))
-            for t, p, e in zip(rng.uniform(0, math.pi / 2, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, 0.5, 40))
-        ]
+        grid += zip(*[rng.uniform(0, top, 40).tolist() for top in (math.pi / 2, 2 * math.pi, 0.5)])
         h = hashlib.sha1()
         for theta, phi, eps in grid:
             params = optimal_params(theta, phi)
