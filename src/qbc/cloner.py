@@ -54,9 +54,6 @@ class CloneParams:
     def symmetric(cls, a0, b0, d0, a1, b1, d1) -> "CloneParams":
         return cls(a0=a0, b0=b0, c0=b0, d0=d0, a1=a1, b1=b1, c1=b1, d1=d1)
 
-    def row(self, which: int) -> np.ndarray:
-        return np.array(self._coeffs(which))
-
     def _coeffs(self, which: int) -> tuple[float, float, float, float]:
         if which == 0:
             return self.a0, self.b0, self.c0, self.d0
@@ -88,7 +85,7 @@ def constraint_residuals(params: CloneParams, theta: float) -> np.ndarray:
         + params.d1 * params.d0
         - math.cos(theta)
     )
-    return np.array([r0, r1, r2])
+    return hilbert._readonly(np.array([r0, r1, r2]))
 
 
 def clone_state(params: CloneParams, which: int) -> np.ndarray:

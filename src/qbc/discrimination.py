@@ -53,9 +53,8 @@ class BinaryPOVM:
             evals = hilbert.hermitian_eig(elem).eigenvalues
             if evals[0] < tol.EIGENVALUE_FLOOR:
                 raise ValueError(f"POVM element has eigenvalue {evals[0]:.3e} below floor")
-            elem.setflags(write=False)
-        object.__setattr__(self, "pi0", pi0)
-        object.__setattr__(self, "pi1", pi1)
+        object.__setattr__(self, "pi0", hilbert._readonly(pi0))
+        object.__setattr__(self, "pi1", hilbert._readonly(pi1))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Complex linear algebra for 2- and 4-dimensional Hilbert spaces.
 
-Kets are complex128 vectors, operators complex128 matrices; both are
-returned read-only so values can be shared freely across threads. Basis
+Kets are complex128 vectors, operators complex128 matrices. Every array
+the library returns or stores is a fresh read-only array with no writable
+base, frozen by _readonly alone, so values can be shared freely across
+threads and no caller can change one in place. Basis
 convention: index 0 is the reference basis state |0>, index 1 its
 orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
 
@@ -32,6 +34,7 @@ _HALF_ULP = 2.0**-53
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """Freeze a, a fresh array that views nothing: a reshape's or slice's base would stay writable."""
     a.setflags(write=False)
     return a
 

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import hilbert
 from . import tolerances as tol
 from .cloner import _marginal_rows, optimal_params
 from .discrimination import BinaryPOVM, binary_entropy
@@ -49,8 +50,7 @@ class BinaryChannel:
         colsums = (p00 + p10, p01 + p11)
         if max(abs(colsums[0] - 1.0), abs(colsums[1] - 1.0)) > tol.EQUALITY_TOL:
             raise ValueError(f"channel columns must sum to 1, got {np.array(colsums)}")
-        m.setflags(write=False)
-        object.__setattr__(self, "p", m)
+        object.__setattr__(self, "p", hilbert._readonly(m))
 
 
 def bsc(crossover: float) -> BinaryChannel:
@@ -68,11 +68,12 @@ class JointDistribution:
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("variable names must be distinct")
-        # a private copy: freezing it leaves the caller's array writable
-        t = np.array(self.table)
+        # a private C-ordered copy, shaped in place so that no writable base sits behind it
+        t = np.array(self.table, order="C")
         if t.dtype.kind == "c":
             raise ValueError("probabilities must be real")
-        t = t.astype(np.float64, copy=False).reshape((2,) * len(self.vars))
+        t = t.astype(np.float64, copy=False)
+        t.shape = (2,) * len(self.vars)
         # tables here have at most 16 entries: Python floats beat numpy reductions
         vals = t.reshape(-1).tolist()
         if not all(map(math.isfinite, vals)):
@@ -82,8 +83,7 @@ class JointDistribution:
         total = math.fsum(vals)
         if abs(total - 1.0) > tol.EQUALITY_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total}")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", hilbert._readonly(t))
 
     def axis(self, name: str) -> int:
         try:
@@ -134,9 +134,7 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
             c10, c11 = t10 * s00 + t11 * s01, t10 * s10 + t11 * s11
             for y, ((a00, a01), (a10, a11)) in enumerate(elems):
                 out[y][z][x] = max(0.0, ((a00 * c00 + a01 * c01) + (a10 * c10 + a11 * c11)).real)
-    table = np.array(out)
-    table.setflags(write=False)
-    return table
+    return hilbert._readonly(np.array(out))
 
 
 def check_degraded(p1: BinaryChannel, p2: BinaryChannel) -> float:

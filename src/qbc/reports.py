@@ -1,8 +1,8 @@
 """Plain-dict report builders behind the CLI subcommands.
 
-Everything returned here is JSON-ready: numpy scalars become Python floats,
-complex numbers become [re, im] pairs, arrays become nested lists. Reports
-are pure functions of their arguments, so fixed flags give fixed bytes.
+Everything returned here is JSON-ready: arrays become nested lists of Python
+numbers, complex numbers become [re, im] pairs. Reports are pure functions
+of their arguments, so fixed flags give fixed bytes.
 """
 
 import math
@@ -28,17 +28,15 @@ CSV_COLUMNS = CSV_HEADER.split(",")
 
 
 def jsonable(x):
-    """Recursively convert numpy/complex values into JSON-ready structures."""
+    """Recursively convert arrays and complex numbers into JSON-ready structures."""
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, list):
         return [jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return [jsonable(v) for v in x.tolist()]
-    if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+    if isinstance(x, complex):
+        return [x.real, x.imag]
     return x
 
 

@@ -45,7 +45,7 @@ class TestRandomFeasibleParams:
             assert np.max(np.abs(constraint_residuals(p, theta))) < 1e-12
         # the parallel target is met exactly: both rows coincide
         p = random_feasible_params(0.0, rng)
-        np.testing.assert_array_equal(p.row(0), p.row(1))
+        assert (p.a0, p.b0, p.c0, p.d0) == (p.a1, p.b1, p.c1, p.d1)
 
     def test_rotation_is_haar(self):
         """At theta = pi/2 the rows are R e1 and R e2; their moments are those of Haar R.

@@ -8,8 +8,8 @@ runs per workload, round-robin over the workloads, then one traced run of
 each, then one timed run of the tier-1 test suite. The output file holds the
 environment, each end-to-end metric's median, quartiles, (Q3 - Q1)/median
 and raw values per workload, the traced per-layer metrics, and the tier-1
-count and wall time. Exits 1 when a run is not correct or has failed ops;
-the file is written either way.
+counts and wall time. Exits 1 when a run is not correct or has failed ops,
+or when a tier-1 test fails or errors; the file is written either way.
 """
 
 import argparse
@@ -67,9 +67,9 @@ def tier1() -> dict:
     out = subprocess.run(TIER1, cwd=ROOT, capture_output=True, text=True, env=env)
     wall = time.perf_counter() - t0
     tail = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
-    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|skipped|errors?)", tail)}
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|skipped|error)", tail)}
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
-            "wall_s": wall, "summary": tail}
+            "errors": counts.get("error", 0), "wall_s": wall, "summary": tail}
 
 
 def main(argv=None) -> int:
@@ -96,6 +96,9 @@ def main(argv=None) -> int:
         for w in workloads:
             untraced[w].append(run(w, 0))
     traced = {w: run(w, 1) for w in workloads}
+    suite = tier1()
+    if suite["failed"] or suite["errors"]:
+        problems.append(f"tier-1: failed={suite['failed']} errors={suite['errors']}")
     env = next(iter(traced.values()))["env"]
     record = {
         "env": {
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
         },
         "ops_attempted": {w: [r["attempted"] for r in runs] for w, runs in untraced.items()},
         "traced": {w: r["metrics"] for w, r in traced.items()},
-        "tier1": tier1(),
+        "tier1": suite,
         "problems": problems,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
