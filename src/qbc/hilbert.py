@@ -3,9 +3,9 @@
 Kets are complex128 vectors, operators complex128 matrices. Every array
 the library returns or stores is a fresh read-only array with no writable
 base, frozen by _readonly alone, so values can be shared freely across
-threads and no caller can change one in place. Basis
-convention: index 0 is the reference basis state |0>, index 1 its
-orthogonal partner; a dim-4 index is 2*(system index) + (blank index).
+threads and no caller can change one in place. Basis convention: index 0
+is the reference basis state |0>, index 1 its orthogonal partner; a dim-4
+index is 2*(system index) + (blank index).
 
 Validation runs on Python scalars at both dims: one tolist() of the input,
 then the finite and hermiticity checks on max |m - m^H|. The eigensolver is

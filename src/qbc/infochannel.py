@@ -66,6 +66,8 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
+        # a tuple of the names: a caller's list would stay editable
+        object.__setattr__(self, "vars", tuple(self.vars))
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("variable names must be distinct")
         # a private C-ordered copy, shaped in place so that no writable base sits behind it
