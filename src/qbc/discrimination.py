@@ -64,11 +64,11 @@ class DiscriminationResult:
 
 
 def error_of_povm(rho0: np.ndarray, rho1: np.ndarray, povm: BinaryPOVM) -> float:
-    """Average error 1/2 (1 + tr((rho0 - rho1) Pi1)) for equal priors."""
+    """Average error 1/2 (1 + tr((rho0 - rho1) Pi1)) for equal priors, clamped into [0, 1]."""
     if rho0.shape != rho1.shape or rho0.shape != povm.pi1.shape:
         raise ValueError("dimension mismatch between states and POVM")
     val = np.trace((rho0 - rho1) @ povm.pi1)
-    return 0.5 * (1.0 + float(val.real))
+    return min(1.0, max(0.0, 0.5 * (1.0 + float(val.real))))
 
 
 def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
@@ -77,14 +77,15 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray) -> DiscriminationResult:
     The error is 1/2 - 1/4 |rho0 - rho1|_1, with the trace norm summed over
     the eigenvalue magnitudes in ascending order. Swapping the states negates
     every eigenvalue and leaves the sorted magnitudes unchanged, so it
-    returns the identical float.
+    returns the identical float. For nearly orthogonal states rounding can
+    take the difference below 0, so it is clamped at 0.
     """
     if rho0.shape != rho1.shape:
         raise ValueError("dimension mismatch between states")
     dec = hilbert.hermitian_eig(rho0 - rho1)
     evals = dec.eigenvalues.tolist()
     pi0, pi1 = _sign_split(evals, dec.eigenvectors.tolist())
-    error = 0.5 - sum(sorted(abs(lam) for lam in evals)) / 4.0
+    error = max(0.0, 0.5 - sum(sorted(abs(lam) for lam in evals)) / 4.0)
     return DiscriminationResult(povm=BinaryPOVM(pi0=pi0, pi1=pi1), error_prob=error)
 
 

@@ -107,8 +107,10 @@ def induced_channel(theta: float, phi: float, povm: BinaryPOVM) -> BinaryChannel
     p = [[0.0, 0.0], [0.0, 0.0]]
     for x, ((r00, r01), (r10, r11)) in enumerate(_marginal_rows(theta, phi)):
         for y, ((q00, q01), (q10, q11)) in enumerate(elems):
-            # tr(rho pi) = (rho pi)_00 + (rho pi)_11, and rho is real
-            p[y][x] = max(0.0, (r00 * q00.real + r01 * q10.real) + (r10 * q01.real + r11 * q11.real))
+            # tr(rho pi) = (rho pi)_00 + (rho pi)_11, and rho is real; rounding
+            # can leave [0, 1] by an ulp
+            t = (r00 * q00.real + r01 * q10.real) + (r10 * q01.real + r11 * q11.real)
+            p[y][x] = min(1.0, max(0.0, t))
     return BinaryChannel(p)
 
 
@@ -135,7 +137,8 @@ def joint_clone_channel(theta: float, phi: float, povm: BinaryPOVM) -> np.ndarra
             c00, c01 = t00 * s00 + t01 * s01, t00 * s10 + t01 * s11
             c10, c11 = t10 * s00 + t11 * s01, t10 * s10 + t11 * s11
             for y, ((a00, a01), (a10, a11)) in enumerate(elems):
-                out[y][z][x] = max(0.0, ((a00 * c00 + a01 * c01) + (a10 * c10 + a11 * c11)).real)
+                t = ((a00 * c00 + a01 * c01) + (a10 * c10 + a11 * c11)).real
+                out[y][z][x] = min(1.0, max(0.0, t))
     return hilbert._readonly(np.array(out))
 
 

@@ -8,8 +8,9 @@ conversion from sphere coordinates to CloneParams. random_feasible_params
 takes R from a normalized Gaussian 4-vector read as a unit quaternion, which
 is Haar-uniform on SO(3) (Shoemake 1992). The objective is unchanged when
 both rows rotate about the x axis, so it depends on R only through its first
-row n, and the search is multi-start Riemannian ascent, by Newton and
-gradient steps, on the sphere of those n (see qbc._kernels). Starts are normalized Gaussian
+row n, where it is sin^2(theta) g(n) with g = O(1) at every theta. The
+search is multi-start Riemannian ascent of g, by Newton and gradient steps,
+on the sphere of those n (see qbc._kernels). Starts are normalized Gaussian
 3-vectors; each ascent is deterministic, so a fixed seed reproduces the
 report bit for bit. Only the best converged n becomes a cloning map, through
 one closed-form rotation whose first row is n. Nothing here calls numpy.linalg.
@@ -44,10 +45,10 @@ class OptimizerConfig:
 class OptimizationReport:
     """Result of maximize_lambda, taken from the best converged start.
 
-    lambda_max is the ascent's cancellation-free objective at that start's
-    end point n on the sphere, which obeys lambda <= |(n0, n1)|^2
-    sin^2(theta) <= sin^2(theta); the maximizers are the four points
-    +-(cos(theta/2), sin(theta/2), 0) and +-(sin(theta/2), -cos(theta/2), 0).
+    lambda_max is sin^2(theta) g(n) at that start's end point n on the
+    sphere, g being the ascent's objective, with g <= |(n0, n1)|^2 <= 1;
+    the maximizers are the four points +-(cos(theta/2), sin(theta/2), 0)
+    and +-(sin(theta/2), -cos(theta/2), 0).
     best_params is the cloning map of the rotation whose first row is n.
     lambda_objective(best_params) agrees with lambda_max up to the rounding
     of the coefficients, which matters only in relative terms as theta goes

@@ -89,7 +89,8 @@ def report_optimize(theta: float, n_starts: int, seed: int) -> dict:
             "lambda_max": report.lambda_max,
             "reference": reference,
             "gap": abs(report.lambda_max - reference),
-            # null where sin^2(theta) is zero or subnormal, as the ascent stops there
+            # null where sin^2(theta) is zero or subnormal: lambda_max = sin^2(theta) g
+            # then carries no relative information
             "relative_gap": (
                 abs(report.lambda_max / reference - 1.0) if reference >= sys.float_info.min else None
             ),

@@ -19,13 +19,12 @@ RECONSTRUCTION_TOL = 1e-10
 # Constraint residual bound for cloning parameters labeled feasible.
 FEASIBILITY_TOL = 1e-9
 
-# Optimizer ascent: first trial step, relative gradient tolerance and
-# iteration cap. OPTIMIZER_STEP_INIT is the first iteration's first trial
-# step; later gradient steps start from twice the last accepted one, and
-# Newton steps take their own length. A start
-# converges once |grad| <= OPTIMIZER_GRAD_TOL * sin^2(theta). The line
-# search stops seeing gains near 1e-8 of that scale, where the objective
-# rounds.
+# Optimizer ascent of g = lambda / sin^2(theta): first trial step, gradient
+# tolerance and iteration cap. OPTIMIZER_STEP_INIT is the first iteration's
+# first trial step; later gradient steps start from twice the last accepted
+# one, and Newton steps take their own length. A start converges once
+# |grad g| <= OPTIMIZER_GRAD_TOL. The line search stops seeing gains near
+# |grad g| = 1e-8, where g rounds.
 OPTIMIZER_STEP_INIT = 0.1
 OPTIMIZER_GRAD_TOL = 1e-6
 OPTIMIZER_MAX_ITERS = 5000

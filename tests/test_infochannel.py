@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qbc import infochannel
-from qbc.discrimination import BinaryPOVM, clone_povm_closed_form, helstrom, pure_pair_error
+from qbc.discrimination import BinaryPOVM, clone_povm_closed_form, error_of_povm, helstrom, pure_pair_error
 from qbc.cloner import clone_state, marginal_closed_form, marginals, optimal_params
 from qbc.infochannel import (
     BinaryChannel,
@@ -77,6 +77,32 @@ class TestInducedChannel:
         povm = helstrom(*marginal_closed_form(theta, phi)).povm
         ch = induced_channel(theta, phi, povm)
         assert ch.p[1, 0] == pytest.approx(pure_pair_error(theta), abs=1e-12)
+
+    def test_probabilities_stay_in_range_near_orthogonal_inputs(self):
+        """Near theta = pi/2 rounding leaves every error and channel entry a probability.
+
+        tr(rho Pi) and 1/2 - 1/4 |rho0 - rho1|_1 round past 1 or below 0 by
+        an ulp here. The four extra phi are points where each routine once
+        did so: helstrom on the closed-form marginals at pi/2, helstrom on
+        the clone route just below pi/2, induced_channel and
+        joint_clone_channel with the closed-form POVM at pi/2.
+        """
+        phis = [2 * math.pi * k / 64 for k in range(64)]
+        phis += [5.699518861911964, 3.6203351983183256, 1.2928392502135406, 6.099642016760741]
+        for theta in (math.pi / 2, math.nextafter(math.pi / 2, 0.0), math.pi / 2 - 1e-8):
+            for phi in phis:
+                params = optimal_params(theta, phi)
+                clone_route = tuple(marginals(clone_state(params, x))[0] for x in range(2))
+                for rho0, rho1 in (marginal_closed_form(theta, phi), clone_route):
+                    decode = helstrom(rho0, rho1)
+                    errors = [decode.error_prob]
+                    for povm in (clone_povm_closed_form(phi), decode.povm):
+                        errors.append(error_of_povm(rho0, rho1, povm))
+                        for table in (induced_channel(theta, phi, povm).p, joint_clone_channel(theta, phi, povm)):
+                            assert 0.0 <= table.min() and table.max() <= 1.0, (theta, phi)
+                    for pe in errors:
+                        assert 0.0 <= pe <= 1.0, (theta, phi)
+                        rate_region_closed_form(pe, 0.1)
 
 
 class TestJointCloneChannel:
@@ -147,7 +173,7 @@ class TestJointCloneChannel:
                 povms = (clone_povm_closed_form(phi), helstrom(*marginal_closed_form(theta, phi)).povm)
                 for povm in povms:
                     h.update(joint_clone_channel(theta, phi, povm).tobytes())
-        assert h.hexdigest()[:12] == "80cbc3d0325c"
+        assert h.hexdigest()[:12] == "a424ab04bc2f"
 
     def test_pipeline_golden_bytes(self):
         # sha1 prefix of the values one pipeline point passes along, on a

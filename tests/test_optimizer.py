@@ -307,7 +307,7 @@ def test_ascent_golden_digest():
     digest = hashlib.sha1()
     for theta, start in _golden_starts():
         digest.update(repr(ascend(start, theta)).encode())
-    assert digest.hexdigest()[:12] == "320e938bf989"
+    assert digest.hexdigest()[:12] == "5ac9135b6ec0"
 
 
 def test_ascent_iteration_count():
@@ -328,6 +328,15 @@ def test_ascent_iteration_count():
     assert len(iters) == 11 * 32
     assert sum(iters) / len(iters) <= 8.0
     assert max(iters) <= 15
+
+
+def test_ascent_at_theta_zero_reaches_a_maximizer():
+    """At theta = 0 the ascent runs on g = n0^2 + n1^2 - 4 n0^2 n1^2 and ends at +-e1 or +-e2."""
+    for theta, start in _golden_starts():
+        if theta == 0.0:
+            n, lam, _, _, converged = ascend(start, theta)
+            assert converged and lam == 0.0
+            assert min(math.dist(n, m) for m in _maximizers(0.0)) <= 1e-6, (start, n)
 
 
 def test_ascent_is_monotone_in_the_iteration_cap(monkeypatch):
@@ -362,6 +371,11 @@ class TestMaximizeLambda:
         for n, _, _, _, converged in _ascents(math.pi / 3, raw):
             if converged:
                 assert lambda_objective(_direction_params(n, math.pi / 3)) == pytest.approx(0.75, abs=1e-6)
+
+    def test_subnormal_reference(self):
+        # sin^2(theta) = 1e-320 is subnormal; the ascent still runs to the optimum
+        report = maximize_lambda(1e-160, OptimizerConfig(n_starts=8, seed=3))
+        assert report.lambda_max == pytest.approx(math.sin(1e-160) ** 2, rel=1e-3, abs=0.0)
 
     def test_report_invariants(self):
         report = maximize_lambda(1.1, OptimizerConfig(seed=3))
